@@ -33,11 +33,11 @@ const (
 	// its heaviest caller (Obj is the elected object, Target the
 	// destination, Objects the full group that travelled).
 	EventAutopilot
-	// EventMigrateStream: a streaming group-migration session changed
-	// state. At the target, Outcome is "begin", "commit", "abort" or
-	// "expire" and Bytes counts the staged snapshot bytes; at the
-	// coordinator, Outcome is "streamed" and Bytes counts the bytes
-	// forwarded in InstallChunk frames.
+	// EventMigrateStream: a group-migration session changed state. At
+	// the target, Outcome is "begin", "commit", "abort" or "expire" and
+	// Bytes counts the staged snapshot bytes; at the coordinator,
+	// Outcome is "streamed" and Bytes counts the snapshot bytes the
+	// transfer carried (MigrateBegin and InstallChunk frames).
 	EventMigrateStream
 	// EventPlacement: the placement engine acted here. Outcome
 	// "migrate" (the autopilot's group-scored election) or "origin"

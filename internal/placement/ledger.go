@@ -66,10 +66,9 @@ func NewLedger() *Ledger {
 // load and, if the group fits, records the claim. hosted is invoked
 // under the ledger lock and must return the node's authoritative local
 // sample (objects, bytes, capacities); ratio <= 0 selects the default
-// 1. A re-admission under an existing key replaces the old claim (the
-// session layer rejects duplicate sessions before admission, so this
-// only matters for retried one-shot installs). Reports whether the
-// claim was recorded.
+// 1. A re-admission under an existing key replaces the old claim, so a
+// duplicate MigrateBegin re-claims for the transfer it names instead
+// of counting it twice. Reports whether the claim was recorded.
 func (l *Ledger) Admit(key ClaimKey, c Claim, ratio float64, hosted func() Sample) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -46,6 +47,29 @@ func TestAddGetHosted(t *testing.T) {
 	}
 	if hint := s.Hint(id); hint != "n2" {
 		t.Fatalf("hint after depart = %v", hint)
+	}
+	// At the origin the home entry doubles as the forwarding pointer.
+	if to, ok := s.Forward(id); !ok || to != "n2" {
+		t.Fatalf("forward after depart = %v, %v", to, ok)
+	}
+	if at, ok := s.Home(id); !ok || at != "n2" {
+		t.Fatalf("home after depart = %v, %v", at, ok)
+	}
+	out := s.Debug(id)
+	for _, want := range []string{"self=n1", `home="n2"(true)`, `fwd="n2"(true)`, `cache=""(false)`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("Debug = %q missing %q", out, want)
+		}
+	}
+	// Coming back clears the forward; the record is home again.
+	if err := s.InstallBatch([]*Record{NewRecord(id, "t", &testState{})}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Forward(id); ok {
+		t.Fatal("forward survived arrival")
+	}
+	if at, ok := s.Home(id); !ok || at != "n1" {
+		t.Fatalf("home after arrival = %v, %v", at, ok)
 	}
 }
 
@@ -103,6 +127,30 @@ func TestLookupSingleShard(t *testing.T) {
 	s.Learn(foreign, "n3")
 	if _, at := s.Lookup(foreign); at != "n3" {
 		t.Fatalf("Lookup ignored learnt hint: %v", at)
+	}
+	// Learning nothing, or this node itself, keeps the cached hint;
+	// invalidating it falls back to the origin.
+	s.Learn(foreign, "")
+	s.Learn(foreign, "n1")
+	if hint := s.Hint(foreign); hint != "n3" {
+		t.Fatalf("hint after empty/self learn = %v, want n3", hint)
+	}
+	s.Invalidate(foreign)
+	if hint := s.Hint(foreign); hint != "n9" {
+		t.Fatalf("hint after invalidate = %v, want origin n9", hint)
+	}
+	// Hosting the foreign object and sending it on: the forward beats
+	// a stale cached hint, and the home index never admits it, not
+	// even through a home update.
+	s.Learn(foreign, "n5")
+	s.Arrived(foreign)
+	s.Departed(foreign, "n6", 1)
+	s.HomeUpdate([]core.OID{foreign}, nil, "n4")
+	if hint := s.Hint(foreign); hint != "n6" {
+		t.Fatalf("hint = %v, want forward n6 over stale cache", hint)
+	}
+	if at, ok := s.Home(foreign); ok {
+		t.Fatalf("foreign object entered the home index: %v", at)
 	}
 }
 

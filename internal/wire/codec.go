@@ -48,7 +48,7 @@ const (
 	tagHomeUpdateResp
 	tagSnapshot
 	tagPauseResp
-	tagInstallReq
+	tagInstallReq // retired: the slot stays reserved, nothing encodes it
 	tagMoveReq
 	tagMoveResp
 	tagEndReq
@@ -322,18 +322,6 @@ func marshalFastAppend(dst []byte, v interface{}) (data []byte, ok bool) {
 		return appendOIDs(b, m.Pending), true
 	case PauseResp:
 		return marshalFastAppend(dst, &m)
-	case *InstallReq:
-		b := grow(dst, 34+len(m.From)+snapshotsSize(m.Snapshots))
-		b = append(b, tagInstallReq)
-		b = appendUvarint(b, uint64(len(m.Snapshots)))
-		for i := range m.Snapshots {
-			b = appendSnapshotBody(b, &m.Snapshots[i])
-		}
-		b = appendUvarint(b, m.Token)
-		b = appendStr(b, string(m.From))
-		return appendUvarint(b, m.Trace), true
-	case InstallReq:
-		return marshalFastAppend(dst, &m)
 	case *MoveReq:
 		b := append(dst, tagMoveReq)
 		b = appendOID(b, m.Obj)
@@ -381,13 +369,18 @@ func marshalFastAppend(dst []byte, v interface{}) (data []byte, ok bool) {
 	case MigrateResp:
 		return marshalFastAppend(dst, &m)
 	case *MigrateBeginReq:
-		b := grow(dst, 44+len(m.From)+oidsSize(m.Objs))
+		b := grow(dst, 56+len(m.From)+oidsSize(m.Objs)+snapshotsSize(m.Snapshots))
 		b = append(b, tagMigrateBeginReq)
 		b = appendUvarint(b, m.Token)
 		b = appendStr(b, string(m.From))
 		b = appendOIDs(b, m.Objs)
 		b = appendVarint(b, m.Bytes)
-		return appendUvarint(b, m.Trace), true
+		b = appendUvarint(b, m.Trace)
+		b = appendUvarint(b, uint64(len(m.Snapshots)))
+		for i := range m.Snapshots {
+			b = appendSnapshotBody(b, &m.Snapshots[i])
+		}
+		return appendBool(b, m.Commit), true
 	case MigrateBeginReq:
 		return marshalFastAppend(dst, &m)
 	case *MigrateBeginResp:
@@ -723,14 +716,6 @@ func unmarshalFast(tag byte, data []byte, v interface{}) error {
 		}
 		out.Snapshots = r.snapshots()
 		out.Pending = r.oids()
-	case *InstallReq:
-		if tag != tagInstallReq {
-			return tagMismatch(tag, v)
-		}
-		out.Snapshots = r.snapshots()
-		out.Token = r.uvarint()
-		out.From = core.NodeID(r.str())
-		out.Trace = r.uvarint()
 	case *MoveReq:
 		if tag != tagMoveReq {
 			return tagMismatch(tag, v)
@@ -786,6 +771,8 @@ func unmarshalFast(tag byte, data []byte, v interface{}) error {
 		out.Objs = r.oids()
 		out.Bytes = r.varint()
 		out.Trace = r.uvarint()
+		out.Snapshots = r.snapshots()
+		out.Commit = r.bool()
 	case *MigrateBeginResp:
 		if tag != tagMigrateBeginResp {
 			return tagMismatch(tag, v)

@@ -45,7 +45,7 @@ func fastBodies() []interface{} {
 		&LoadGossipResp{Load: NodeLoad{Node: "n0", Seq: 1}},
 		&snap,
 		&PauseResp{Snapshots: []Snapshot{snap, {ID: oid2, Type: "t"}}, Pending: []core.OID{oid1}},
-		&InstallReq{Snapshots: []Snapshot{snap}, Token: 99},
+		&MigrateBeginReq{Token: 99, From: "n1", Objs: []core.OID{oid1}, Snapshots: []Snapshot{snap}, Commit: true},
 		&MigrateBeginReq{Token: 99, From: "n1", Objs: []core.OID{oid1, oid2}, Bytes: 1 << 22},
 		&MigrateBeginResp{},
 		&MigrateBeginResp{Reserved: true, ReservedBytes: 1 << 22},

@@ -41,7 +41,7 @@ const (
 	KMigrate
 	KLocate
 	KPause
-	KInstall
+	KInstall // retired: kept as a placeholder, handlers refuse it
 	KCommit
 	KAbort
 	KHomeUpdate
@@ -342,43 +342,38 @@ type PauseResp struct {
 	Pending   []core.OID
 }
 
-// InstallReq delivers snapshots to the target node of a migration in
-// one shot. Small groups — one source host, everything within a single
-// chunk budget — take this path (one frame instead of a
-// begin/chunk/commit session); larger or multi-host groups stream.
-// From names the coordinator so the target can disarm the matching
-// pause lease when it hosted some of the group itself.
-type InstallReq struct {
-	Snapshots []Snapshot
-	Token     uint64
-	From      core.NodeID
-	// Trace is the migration's TraceID (0 = untraced).
-	Trace uint64
-}
-
-// InstallResp acknowledges installation.
-type InstallResp struct{}
-
-// MigrateBeginReq opens a streaming migration session at the target:
-// snapshots arriving in InstallChunk frames for (From, Token) are
-// staged in a session buffer and installed atomically only when the
-// coordinator commits. Objs is the full expected member set, so the
-// commit can verify that no chunk was lost. A session that sees no
-// traffic for the target's configured TTL is discarded (coordinator
-// crash mid-stream leaves the target clean).
+// MigrateBeginReq opens a migration session at the target: snapshots
+// arriving in InstallChunk frames for (From, Token) are staged in a
+// session buffer and installed atomically only when the coordinator
+// commits. Objs is the full expected member set, so the commit can
+// verify that no chunk was lost. A session that sees no traffic for
+// the target's configured TTL is discarded (coordinator crash
+// mid-stream leaves the target clean).
+//
+// The begin frame may carry the first chunk itself (Snapshots), and
+// with Commit set it is the whole transfer: the target admits, stages
+// and installs in one exchange, without storing a session. A group on
+// one host that fits one chunk moves this way, in a single frame.
 type MigrateBeginReq struct {
 	Token uint64
 	From  core.NodeID // the coordinator; sessions are keyed (From, Token)
 	Objs  []core.OID
 	// Bytes is the coordinator's estimate of the group's snapshot
 	// bytes (the sum of the members' last-known state sizes). The
-	// target's reservation ledger claims this footprint against its
-	// byte capacity at admission, before any chunk is streamed.
+	// target's reservation ledger claims this footprint — or the
+	// carried snapshots' encoded size, if larger — against its byte
+	// capacity at admission, before any chunk is streamed.
 	Bytes int64
 	// Trace is the migration's TraceID (0 = untraced); the session
 	// remembers it so every staged chunk and the final install are
 	// stamped without re-sending it per frame.
 	Trace uint64
+	// Snapshots is a first chunk, staged exactly like an InstallChunk.
+	Snapshots []Snapshot
+	// Commit installs the group as soon as the carried snapshots are
+	// staged; no InstallChunk or InstallCommit frame follows. Every
+	// member of Objs must then be in Snapshots.
+	Commit bool
 }
 
 // MigrateBeginResp acknowledges the session and reports the admission

@@ -123,8 +123,7 @@ func TestAllBodiesRoundTrip(t *testing.T) {
 		&LocateResp{At: "n9"},
 		&PauseReq{Objs: []core.OID{oid}, Token: 8, MaxBytes: 1 << 20, Lease: 30 * time.Second, From: "n2", Target: "n3"},
 		&PauseResp{Snapshots: []Snapshot{{ID: oid, Type: "t"}}, Pending: []core.OID{oid}},
-		&InstallReq{Snapshots: []Snapshot{{ID: oid}}, Token: 8},
-		&InstallResp{},
+		&MigrateBeginReq{Token: 8, From: "n1", Objs: []core.OID{oid}, Snapshots: []Snapshot{{ID: oid}}, Commit: true},
 		&MigrateBeginReq{Token: 8, From: "n1", Objs: []core.OID{oid}},
 		&MigrateBeginResp{},
 		&InstallChunkReq{Token: 8, From: "n1", Seq: 1, Snapshots: []Snapshot{{ID: oid, Type: "t"}}},

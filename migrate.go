@@ -101,21 +101,21 @@ func sortedOIDs(members map[core.OID]NodeID) []core.OID {
 }
 
 // migrateGroup transfers the member objects to target as one batch,
-// picking the cheapest transfer shape:
+// in one migration session whose frame count scales with the group:
 //
-//   - A group on a single host whose snapshots fit one chunk budget
-//     moves with a one-shot InstallReq — one frame to the target, the
-//     pre-streaming message count. This is the common case (autopilot
-//     moves of small closures, single objects).
-//
-//   - Anything bigger streams: a staging session at the target
-//     (MigrateBegin), hosts paused concurrently in chunk-bounded
-//     sub-batches, each sub-batch forwarded as an InstallChunk the
-//     moment it arrives, and one atomic InstallCommit — the target
-//     installs the whole group in one shard-aware swap only at
-//     commit, so the coordinator never materialises more than about
+//   - The target opens a staging session (MigrateBegin), hosts are
+//     paused concurrently in chunk-bounded sub-batches, each sub-batch
+//     is forwarded as an InstallChunk the moment it arrives, and one
+//     atomic InstallCommit installs the whole group in one shard-aware
+//     swap — so the coordinator never materialises more than about
 //     one chunk per host and the "group moves as a unit" invariant is
 //     preserved.
+//
+//   - A group on a single host is paused before the session opens and
+//     its first sub-batch rides the begin frame. When that sub-batch is
+//     the whole group the begin frame commits too: one frame to the
+//     target. This is the common case (autopilot moves of small
+//     closures, single objects).
 //
 //   - admit inspects each paused snapshot as it arrives and may veto
 //     the migration (transient placement's all-or-nothing working-set
@@ -151,8 +151,8 @@ func (n *Node) migrateGroup(ctx context.Context, members map[core.OID]NodeID, ta
 
 	// Stamp departure generations on every snapshot that will ship,
 	// recording them for the commit and home-update phases. Wrapping
-	// mutate covers both transfer shapes' admitMutateBatch calls; the
-	// map is written from the per-host pause workers, hence the lock.
+	// mutate covers every admitMutateBatch call; the map is written
+	// from the per-host pause workers, hence the lock.
 	var genMu sync.Mutex
 	gens := make(map[core.OID]uint64, len(members))
 	userMutate := mutate
@@ -178,55 +178,6 @@ func (n *Node) migrateGroup(ctx context.Context, members map[core.OID]NodeID, ta
 	}
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
 
-	// One-shot fast path: a single-host group is paused first; if
-	// everything fit the chunk budget there is nothing to stream — one
-	// InstallReq moves the group. A failure (or admission veto) aborts
-	// the lone host and nothing else exists to clean up.
-	var primed *wire.PauseResp
-	if len(hosts) == 1 {
-		h := hosts[0]
-		resp, err := n.pauseBatch(ctx, h, byHost[h], token, target, trace)
-		if err == nil {
-			err = admitMutateBatch(resp.Snapshots, admit, mutate)
-		}
-		if err != nil {
-			n.sessionAbort(h, byHost[h], token)
-			return nil, err
-		}
-		if len(resp.Pending) == 0 {
-			// Same half-lease guard as the streamed commit below: a
-			// pause that crawled (busy drain) must not push the install
-			// into a race with the sources' lease recovery.
-			if lease := n.migrate.PauseLease; lease > 0 && time.Since(start) > lease/2 {
-				n.sessionAbort(h, byHost[h], token)
-				return nil, wire.Errorf(wire.CodeDenied,
-					"migration %d consumed over half the %v pause lease; aborted to stay clear of the sources' lease recovery", token, lease)
-			}
-			if err := n.installOneShot(ctx, target, resp.Snapshots, token, trace); err != nil {
-				// The install is the point of no return: only a definite
-				// answer from the target proves it did not happen. An
-				// ambiguous transport failure leaves the sources paused
-				// for their lease to resolve (see the commit below).
-				if definiteFailure(err) || n.migrate.PauseLease <= 0 {
-					n.sessionAbort(h, byHost[h], token)
-				}
-				return nil, err
-			}
-			return n.finishGroupMigration(ctx, ids, byHost, hosts, target, token, 0, anchor, gens, trace)
-		}
-		primed = resp // bigger than one chunk: stream it below
-	}
-
-	// Streamed path. Open the staging session at the target before
-	// pausing anything further: an unreachable target fails the
-	// migration with minimal cleanup.
-	if err := n.sessionBegin(ctx, target, token, ids, trace); err != nil {
-		if primed != nil {
-			n.sessionAbort(hosts[0], byHost[hosts[0]], token)
-		}
-		return nil, err
-	}
-
 	// abort rolls the whole transfer back: resume every host that may
 	// hold a pause (Unpause is token-checked and idempotent, so hosts
 	// or objects that never paused ignore it) and discard the target's
@@ -239,6 +190,58 @@ func (n *Node) migrateGroup(ctx context.Context, members map[core.OID]NodeID, ta
 		if _, isHost := byHost[target]; !isHost {
 			n.sessionAbort(target, nil, token)
 		}
+	}
+
+	// Lease guard: committing close to the pause lease's edge could
+	// race the sources' lease machinery and duplicate objects. A
+	// transfer that burned more than half the lease aborts instead.
+	leaseSpent := func() error {
+		if lease := n.migrate.PauseLease; lease > 0 && time.Since(start) > lease/2 {
+			abort()
+			return wire.Errorf(wire.CodeDenied,
+				"migration %d consumed over half the %v pause lease; aborted to stay clear of the sources' lease recovery", token, lease)
+		}
+		return nil
+	}
+
+	// A single-host group is paused before the session opens: its
+	// first sub-batch rides the begin frame, and the begin commits when
+	// that is the whole group. A failure (or admission veto) here
+	// aborts the lone host; nothing else exists to clean up yet.
+	begin := &wire.MigrateBeginReq{Token: token, From: n.id, Objs: ids, Trace: trace}
+	primed := len(hosts) == 1
+	var pending []core.OID
+	if primed {
+		h := hosts[0]
+		resp, err := n.pauseBatch(ctx, h, byHost[h], token, target, trace)
+		if err == nil {
+			err = admitMutateBatch(resp.Snapshots, admit, mutate)
+		}
+		if err != nil {
+			n.sessionAbort(h, byHost[h], token)
+			return nil, err
+		}
+		begin.Snapshots, pending = resp.Snapshots, resp.Pending
+		begin.Commit = len(pending) == 0
+		if begin.Commit {
+			if err := leaseSpent(); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	// Open the session before pausing anything further: an unreachable
+	// target fails the migration with minimal cleanup. A committing
+	// begin is the point of no return, handled like Phase 2's commit.
+	sent, err := n.sessionBegin(ctx, target, begin)
+	if err != nil {
+		if primed && (!begin.Commit || definiteFailure(err) || n.migrate.PauseLease <= 0) {
+			n.sessionAbort(hosts[0], byHost[hosts[0]], token)
+		}
+		return nil, err
+	}
+	if begin.Commit {
+		return n.finishGroupMigration(ctx, ids, byHost, hosts, target, token, sent, anchor, gens, trace)
 	}
 
 	// Phase 1: pause and stream, hosts in parallel. Each host worker
@@ -261,46 +264,41 @@ func (n *Node) migrateGroup(ctx context.Context, members map[core.OID]NodeID, ta
 	}
 	var seq atomic.Uint64
 	var bytesOut atomic.Int64
+	bytesOut.Store(sent)
 	var wg sync.WaitGroup
 	for _, h := range hosts {
 		wg.Add(1)
 		go func(h NodeID) {
 			defer wg.Done()
-			pending := byHost[h]
-			var batch []wire.Snapshot
-			if primed != nil && h == hosts[0] {
-				// The fast-path probe already paused and admitted the
-				// first sub-batch; ship it as the first chunk.
-				batch, pending = primed.Snapshots, primed.Pending
+			todo := byHost[h]
+			if primed {
+				todo = pending // the begin frame carried the first sub-batch
 			}
-			for len(batch) > 0 || len(pending) > 0 {
+			for len(todo) > 0 {
 				if err := sctx.Err(); err != nil {
 					fail(err)
 					return
 				}
-				if batch == nil {
-					resp, err := n.pauseBatch(sctx, h, pending, token, target, trace)
-					if err != nil {
-						fail(err)
-						return
-					}
-					if len(resp.Snapshots) == 0 {
-						fail(wire.Errorf(wire.CodeInternal, "pause at %s made no progress", h))
-						return
-					}
-					if err := admitMutateBatch(resp.Snapshots, admit, mutate); err != nil {
-						fail(err)
-						return
-					}
-					batch, pending = resp.Snapshots, resp.Pending
+				resp, err := n.pauseBatch(sctx, h, todo, token, target, trace)
+				if err != nil {
+					fail(err)
+					return
 				}
-				b, err := n.sessionChunk(sctx, target, token, seq.Add(1), batch, trace)
+				if len(resp.Snapshots) == 0 {
+					fail(wire.Errorf(wire.CodeInternal, "pause at %s made no progress", h))
+					return
+				}
+				if err := admitMutateBatch(resp.Snapshots, admit, mutate); err != nil {
+					fail(err)
+					return
+				}
+				b, err := n.sessionChunk(sctx, target, token, seq.Add(1), resp.Snapshots, trace)
 				if err != nil {
 					fail(err)
 					return
 				}
 				bytesOut.Add(b)
-				batch = nil
+				todo = resp.Pending
 			}
 		}(h)
 	}
@@ -309,14 +307,8 @@ func (n *Node) migrateGroup(ctx context.Context, members map[core.OID]NodeID, ta
 		abort()
 		return nil, firstErr
 	}
-
-	// Lease guard: committing close to the pause lease's edge could
-	// race the sources' lease machinery and duplicate objects. A
-	// transfer that burned more than half the lease aborts instead.
-	if lease := n.migrate.PauseLease; lease > 0 && time.Since(start) > lease/2 {
-		abort()
-		return nil, wire.Errorf(wire.CodeDenied,
-			"migration %d consumed over half the %v pause lease; aborted to stay clear of the sources' lease recovery", token, lease)
+	if err := leaseSpent(); err != nil {
+		return nil, err
 	}
 
 	// Phase 2: atomic install of the staged group at the target. This
@@ -409,41 +401,13 @@ func admitMutateBatch(snaps []wire.Snapshot, admit func(*wire.Snapshot) error, m
 	return nil
 }
 
-// installOneShot delivers a small group to the target in a single
-// InstallReq. The frame counts towards the same transfer gauges as
-// streamed chunks, so StreamMaxChunkBytes always reports the
-// coordinator's true peak migration-frame size.
-func (n *Node) installOneShot(ctx context.Context, target NodeID, snaps []wire.Snapshot, token, trace uint64) error {
-	var bytes int64
-	for i := range snaps {
-		bytes += int64(wire.SnapshotSize(&snaps[i]))
-	}
-	req := &wire.InstallReq{Snapshots: snaps, Token: token, From: n.id, Trace: trace}
-	start := time.Now()
-	if target == n.id {
-		if _, err := n.handleInstall(req); err != nil {
-			return err
-		}
-	} else {
-		var resp wire.InstallResp
-		if err := n.call(ctx, target, wire.KInstall, req, &resp); err != nil {
-			return err
-		}
-	}
-	n.tel.span(trace, telemetry.PhaseStream, start, bytes, len(snaps))
-	n.stats.streamChunksOut.Add(1)
-	n.stats.streamBytesOut.Add(bytes)
-	maxInt64(&n.stats.streamMaxChunkBytes, bytes)
-	return nil
-}
-
-// finishGroupMigration is the shared tail of both transfer shapes,
-// entered once the group is durably installed at the target: lift the
-// coordinator's affinity observations, commit forwarding pointers at
-// the old hosts, advise the origins, account and announce. streamed is
-// the stream's snapshot byte count (zero for one-shot transfers);
-// anchor and gens carry the closure identity and the departure
-// generations stamped on the shipped snapshots.
+// finishGroupMigration is the tail of a migration, entered once the
+// group is durably installed at the target: lift the coordinator's
+// affinity observations, commit forwarding pointers at the old hosts,
+// advise the origins, account and announce. streamed is the snapshot
+// byte count the transfer carried; anchor and gens carry the closure
+// identity and the departure generations stamped on the shipped
+// snapshots.
 func (n *Node) finishGroupMigration(ctx context.Context, ids []core.OID, byHost map[NodeID][]core.OID,
 	hosts []NodeID, target NodeID, token uint64, streamed int64,
 	anchor core.OID, gens map[core.OID]uint64, trace uint64) ([]core.OID, error) {
@@ -497,44 +461,46 @@ func (n *Node) finishGroupMigration(ctx context.Context, ids []core.OID, byHost 
 	for i, id := range ids {
 		moved[i] = Ref{OID: id}
 	}
-	if streamed > 0 {
-		n.emit(Event{Kind: EventMigrateStream, Target: target, Outcome: "streamed",
-			Bytes: streamed, Objects: moved})
-	}
+	n.emit(Event{Kind: EventMigrateStream, Target: target, Outcome: "streamed",
+		Bytes: streamed, Objects: moved})
 	n.emit(Event{Kind: EventMigration, Target: target, Objects: moved})
 	return ids, nil
 }
 
-// sessionBegin opens the streaming session at the target. The begin
-// frame carries the coordinator's byte estimate for the group — the
+// sessionBegin opens the migration session at the target and returns
+// the snapshot bytes the begin frame carried. A begin without a commit
+// also carries the coordinator's byte estimate for the group — the
 // summed state sizes of the members hosted here. Members living on
 // other hosts are not inspected (that would cost a round trip per
 // host before anything is even admitted), so the estimate is a floor;
-// the target's ledger trues it up against real chunk sizes only in
-// the sense that residency replaces the claim at commit.
-func (n *Node) sessionBegin(ctx context.Context, target NodeID, token uint64, ids []core.OID, trace uint64) error {
-	var bytes int64
-	for _, rec := range n.store.GetBatch(ids) {
-		if rec != nil && !rec.IsGone() {
-			bytes += rec.StateBytes
+// the target claims at least the carried snapshots' size, and
+// residency replaces the claim at commit. A committing begin carries
+// every snapshot, so the target claims their exact size.
+func (n *Node) sessionBegin(ctx context.Context, target NodeID, req *wire.MigrateBeginReq) (int64, error) {
+	if !req.Commit {
+		for _, rec := range n.store.GetBatch(req.Objs) {
+			if rec != nil && !rec.IsGone() {
+				req.Bytes += rec.StateBytes
+			}
 		}
 	}
-	req := &wire.MigrateBeginReq{Token: token, From: n.id, Objs: ids, Bytes: bytes, Trace: trace}
+	start := time.Now()
+	var err error
 	if target == n.id {
-		_, err := n.handleMigrateBegin(req)
-		return err
+		_, err = n.handleMigrateBegin(req)
+	} else {
+		var resp wire.MigrateBeginResp
+		err = n.call(ctx, target, wire.KMigrateBegin, req, &resp)
 	}
-	var resp wire.MigrateBeginResp
-	return n.call(ctx, target, wire.KMigrateBegin, req, &resp)
+	if err != nil || len(req.Snapshots) == 0 {
+		return 0, err
+	}
+	return n.chunkSent(req.Trace, start, req.Snapshots), nil
 }
 
 // sessionChunk forwards one sub-batch of snapshots to the target's
 // session and returns the snapshot bytes it carried.
 func (n *Node) sessionChunk(ctx context.Context, target NodeID, token, seq uint64, snaps []wire.Snapshot, trace uint64) (int64, error) {
-	var bytes int64
-	for i := range snaps {
-		bytes += int64(wire.SnapshotSize(&snaps[i]))
-	}
 	req := &wire.InstallChunkReq{Token: token, From: n.id, Seq: seq, Snapshots: snaps, Trace: trace}
 	start := time.Now()
 	var err error
@@ -547,11 +513,30 @@ func (n *Node) sessionChunk(ctx context.Context, target NodeID, token, seq uint6
 	if err != nil {
 		return 0, err
 	}
+	return n.chunkSent(trace, start, snaps), nil
+}
+
+// chunkSent accounts one delivered frame of snapshots — a begin's
+// first chunk or an InstallChunk — and returns the bytes it carried.
+// Every such frame counts towards the same transfer gauges, so
+// StreamMaxChunkBytes reports the coordinator's true peak
+// migration-frame size.
+func (n *Node) chunkSent(trace uint64, start time.Time, snaps []wire.Snapshot) int64 {
+	bytes := snapshotBytes(snaps)
 	n.tel.span(trace, telemetry.PhaseStream, start, bytes, len(snaps))
 	n.stats.streamChunksOut.Add(1)
 	n.stats.streamBytesOut.Add(bytes)
 	maxInt64(&n.stats.streamMaxChunkBytes, bytes)
-	return bytes, nil
+	return bytes
+}
+
+// snapshotBytes sums the encoded sizes of a batch of snapshots.
+func snapshotBytes(snaps []wire.Snapshot) int64 {
+	var bytes int64
+	for i := range snaps {
+		bytes += int64(wire.SnapshotSize(&snaps[i]))
+	}
+	return bytes
 }
 
 // sessionCommit asks the target to install the staged group.
@@ -721,55 +706,26 @@ func (n *Node) handlePause(ctx context.Context, req *wire.PauseReq) (*wire.Pause
 		bytes += int64(wire.SnapshotSize(&snap))
 		resp.Snapshots = append(resp.Snapshots, snap)
 	}
+	key := sessionKey{from: req.From, token: req.Token}
 	if req.Lease > 0 && len(done) > 0 {
 		covered := make([]core.OID, len(done))
 		for i, rec := range done {
 			covered[i] = rec.ID
 		}
-		n.armPauseLease(sessionKey{from: req.From, token: req.Token}, req.Target, covered, req.Lease)
+		n.armPauseLease(key, req.Target, covered, req.Lease)
+	}
+	// A pause that lands behind its migration's abort (the frames
+	// raced) must not stand: nothing would ever resume it but the
+	// lease. abortLocal raises the fence before it disarms the lease
+	// and resumes, so either it sees this call's lease and pauses or
+	// this check sees its fence.
+	if req.From != "" && n.migrationAborted(key) {
+		n.cancelPauseLease(key)
+		rollback()
+		return nil, wire.Errorf(wire.CodeDenied, "migration %d from %s was aborted", req.Token, req.From)
 	}
 	n.tel.span(req.Trace, telemetry.PhaseSnapshot, start, bytes, len(done))
 	return resp, nil
-}
-
-// handleInstall reinstantiates migrated objects locally, atomically
-// (the one-shot transfer shape; see migrateGroup).
-func (n *Node) handleInstall(req *wire.InstallReq) (*wire.InstallResp, error) {
-	if req.From != "" && n.migrationAborted(sessionKey{from: req.From, token: req.Token}) {
-		return nil, wire.Errorf(wire.CodeDenied, "migration %d from %s was aborted", req.Token, req.From)
-	}
-	ids := make([]core.OID, len(req.Snapshots))
-	var bytes int64
-	for i := range req.Snapshots {
-		ids[i] = req.Snapshots[i].ID
-		bytes += int64(wire.SnapshotSize(&req.Snapshots[i]))
-	}
-	// The placement admission, with this node's authoritative counts: a
-	// one-shot install that would blow the capacity is refused before
-	// anything decodes. The admitted group is claimed in the
-	// reservation ledger for the (short) window until the install below
-	// lands, so a concurrent MigrateBegin cannot admit against headroom
-	// this install is about to consume; the claim is released once the
-	// batch either became residency or failed.
-	if _, err := n.admitAndReserve(ids, bytes, req.From, req.Token); err != nil {
-		return nil, err
-	}
-	defer n.releaseReservation(req.From, req.Token)
-	start := time.Now()
-	if err := n.installBatch(req.Snapshots, req.Token); err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			return nil, re
-		}
-		return nil, wire.Errorf(wire.CodeInternal, "install: %v", err)
-	}
-	// Members that were paused *here* (the target hosted the group
-	// itself) were just replaced; disarm their lease.
-	if req.From != "" {
-		n.cancelPauseLease(sessionKey{from: req.From, token: req.Token})
-	}
-	n.tel.span(req.Trace, telemetry.PhaseInstall, start, bytes, len(ids))
-	return &wire.InstallResp{}, nil
 }
 
 // handleCommit finalises departures of local paused records.
@@ -889,17 +845,18 @@ func (n *Node) handleAbort(req *wire.AbortReq) (*wire.AbortResp, error) {
 
 // abortLocal rolls pauses back with one shard-grouped batch lookup.
 // Unpause itself checks status and token, so stubs and strangers are
-// naturally ignored. The pause lease is disarmed, a staging session
-// the aborting coordinator opened here (this node was the migration
-// target) is discarded, and the migration's abort fence goes up so an
-// install frame still in flight cannot land afterwards.
+// naturally ignored. The migration's abort fence goes up first, so a
+// pause or install frame still in flight cannot land afterwards; then
+// the pause lease is disarmed and a staging session the aborting
+// coordinator opened here (this node was the migration target) is
+// discarded.
 func (n *Node) abortLocal(req *wire.AbortReq) {
 	key := sessionKey{from: req.From, token: req.Token}
-	n.cancelPauseLease(key)
 	if req.From != "" {
-		n.dropSession(key, "abort")
 		n.abortFence(key)
+		n.dropSession(key, "abort")
 	}
+	n.cancelPauseLease(key)
 	for _, rec := range n.store.GetBatch(req.Objs) {
 		if rec != nil {
 			rec.Unpause(req.Token)

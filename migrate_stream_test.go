@@ -554,10 +554,11 @@ func TestStreamAbortDiscardsSession(t *testing.T) {
 		t.Fatal("commit of an aborted session succeeded")
 	}
 	// The abort fence blocks frames that were still in flight: a late
-	// one-shot install and a late session re-open must both be refused,
+	// committing begin and a late session re-open must both be refused,
 	// or the resumed source and the install would duplicate the object.
 	late := wire.Snapshot{ID: core.OID{Origin: "ghost", Seq: 1}, Type: "counter"}
-	if _, err := n.handleInstall(&wire.InstallReq{Snapshots: []wire.Snapshot{late}, Token: 9, From: "ghost"}); err == nil {
+	if _, err := n.handleMigrateBegin(&wire.MigrateBeginReq{Token: 9, From: "ghost", Objs: []core.OID{late.ID},
+		Snapshots: []wire.Snapshot{late}, Commit: true}); err == nil {
 		t.Fatal("late install landed after the abort fence")
 	}
 	if _, err := n.handleMigrateBegin(&wire.MigrateBeginReq{Token: 9, From: "ghost", Objs: []core.OID{oid}}); err == nil {

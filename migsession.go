@@ -1,11 +1,10 @@
 package objmig
 
-// Streaming group migration, target side and shared config.
+// Group migration sessions, target side and shared config.
 //
-// A group migration used to materialise every member's snapshot in one
-// InstallReq, doubling a large working set in memory on both the
-// coordinator and the target. The streamed path replaces that blob
-// with a bounded pipeline:
+// A group migration is a bounded pipeline rather than one blob, so a
+// large working set is never materialised whole on the coordinator or
+// the target:
 //
 //	coordinator                         target
 //	-----------                         ------
@@ -15,6 +14,11 @@ package objmig
 //	…
 //	InstallCommit(token)         ─────► InstallBatch: whole group,
 //	                                    one shard-aware atomic swap
+//
+// The begin frame may carry the first chunk, and with Commit set it is
+// the whole exchange: a group on one host that fits one chunk is
+// admitted, staged and installed by a single frame, and its session
+// never enters the table.
 //
 // The target stages decoded records in a session buffer keyed by
 // (coordinator, token) and installs the whole group only at commit, so
@@ -87,10 +91,10 @@ type sessionKey struct {
 	token uint64
 }
 
-// migSession is one in-progress streamed transfer at the target:
-// decoded records staged chunk by chunk until commit or discard. All
-// mutation happens under the node's sessMu; the struct itself has no
-// lock.
+// migSession is one in-progress transfer at the target: decoded
+// records staged chunk by chunk until commit or discard. All mutation
+// of a session in the table happens under the node's sessMu; the
+// struct itself has no lock.
 type migSession struct {
 	key     sessionKey
 	expect  map[core.OID]bool
@@ -102,8 +106,28 @@ type migSession struct {
 	timer   *time.Timer // TTL janitor; nil when expiry is disabled
 }
 
-// handleMigrateBegin opens a staging session for a streamed group
-// migration.
+// stage adds one decoded chunk to the session. Every snapshot must be
+// an expected member not staged before.
+func (s *migSession) stage(snaps []wire.Snapshot, recs []*store.Record, bytes int64) *wire.RemoteError {
+	for i := range snaps {
+		oid := snaps[i].ID
+		if !s.expect[oid] {
+			return wire.Errorf(wire.CodeBadRequest, "chunk carries %s, not a member of session %d", oid, s.key.token)
+		}
+		if s.staged[oid] {
+			return wire.Errorf(wire.CodeBadRequest, "chunk re-stages %s in session %d", oid, s.key.token)
+		}
+		s.staged[oid] = true
+	}
+	s.recs = append(s.recs, recs...)
+	s.bytes += bytes
+	return nil
+}
+
+// handleMigrateBegin opens a migration session. Snapshots the begin
+// frame carries are staged as the session's first chunk; with Commit
+// set the group is installed at once and the session is never stored,
+// so no TTL timer is armed for it.
 func (n *Node) handleMigrateBegin(req *wire.MigrateBeginReq) (*wire.MigrateBeginResp, error) {
 	if len(req.Objs) == 0 {
 		return nil, wire.Errorf(wire.CodeBadRequest, "migrate-begin with no members")
@@ -120,8 +144,10 @@ func (n *Node) handleMigrateBegin(req *wire.MigrateBeginReq) (*wire.MigrateBegin
 	// reservation ledger under the session's own key, so concurrent
 	// coordinators cannot collectively overshoot the capacity the veto
 	// defends: each admission sees every earlier claim as if it were
-	// already resident.
-	reserved, err := n.admitAndReserve(req.Objs, req.Bytes, req.From, req.Token)
+	// already resident. Carried snapshots claim at least their encoded
+	// size.
+	bytes := max(req.Bytes, snapshotBytes(req.Snapshots))
+	reserved, err := n.admitAndReserve(req.Objs, bytes, req.From, req.Token)
 	if err != nil {
 		return nil, err
 	}
@@ -135,34 +161,90 @@ func (n *Node) handleMigrateBegin(req *wire.MigrateBeginReq) (*wire.MigrateBegin
 	for _, oid := range req.Objs {
 		s.expect[oid] = true
 	}
-	n.sessMu.Lock()
-	if _, dup := n.sessions[key]; dup {
+	if len(req.Snapshots) > 0 {
+		start := time.Now()
+		recs, chunk, rerr := n.decodeChunk(req.Snapshots, req.Token)
+		if rerr == nil {
+			rerr = s.stage(req.Snapshots, recs, chunk)
+		}
+		if rerr != nil {
+			n.releaseReservation(req.From, req.Token)
+			return nil, rerr
+		}
+		n.chunkStaged(req.Trace, start, chunk, len(recs))
+	}
+	if !req.Commit {
+		n.sessMu.Lock()
+		if _, dup := n.sessions[key]; dup {
+			n.sessMu.Unlock()
+			// Keep the claim: it carries the same (coordinator, token)
+			// key as the open session's, so the ledger entry still
+			// backs the transfer that is actually in flight.
+			return nil, wire.Errorf(wire.CodeDenied, "migration session %d from %s already open", req.Token, req.From)
+		}
+		if ttl := n.migrate.SessionTTL; ttl > 0 {
+			s.timer = time.AfterFunc(ttl, func() { n.expireSession(key) })
+		}
+		n.sessions[key] = s
 		n.sessMu.Unlock()
-		// Keep the claim: it carries the same (coordinator, token) key
-		// as the open session's, so the ledger entry still backs the
-		// transfer that is actually in flight.
-		return nil, wire.Errorf(wire.CodeDenied, "migration session %d from %s already open", req.Token, req.From)
 	}
-	if ttl := n.migrate.SessionTTL; ttl > 0 {
-		s.timer = time.AfterFunc(ttl, func() { n.expireSession(key) })
-	}
-	n.sessions[key] = s
-	n.sessMu.Unlock()
 	n.stats.streamSessionsOpened.Add(1)
 	n.emit(Event{Kind: EventMigrateStream, Target: req.From, Outcome: "begin"})
+	if req.Commit {
+		if err := n.installSession(s); err != nil {
+			return nil, err
+		}
+	}
 	resp := &wire.MigrateBeginResp{Reserved: reserved}
 	if reserved {
-		resp.ReservedBytes = req.Bytes
+		resp.ReservedBytes = bytes
 	}
 	return resp, nil
 }
 
+// decodeChunk reinstantiates one chunk of snapshots as records and
+// returns them with the chunk's snapshot bytes. Records are decoded
+// here, at staging time, so an unknown type, a corrupt state blob or a
+// conflicting live object fails the transfer early — the coordinator
+// aborts instead of discovering the problem at commit. Callers decode
+// outside the session lock: state blobs can be large.
+func (n *Node) decodeChunk(snaps []wire.Snapshot, token uint64) ([]*store.Record, int64, *wire.RemoteError) {
+	recs := make([]*store.Record, len(snaps))
+	var bytes int64
+	for i := range snaps {
+		snap := &snaps[i]
+		rec, err := n.decodeSnapshot(snap)
+		if err != nil {
+			var re *wire.RemoteError
+			if !errors.As(err, &re) {
+				re = wire.Errorf(wire.CodeInternal, "stage %s: %v", snap.ID, err)
+			}
+			return nil, 0, re
+		}
+		if err := n.store.Installable(snap.ID, token); err != nil {
+			var re *wire.RemoteError
+			if !errors.As(err, &re) {
+				re = wire.Errorf(wire.CodeDenied, "stage %s: %v", snap.ID, err)
+			}
+			return nil, 0, re
+		}
+		recs[i] = rec
+		bytes += int64(wire.SnapshotSize(snap))
+	}
+	return recs, bytes, nil
+}
+
+// chunkStaged records one staged chunk: the stage span covers decode
+// and bookkeeping — the target-side cost of one chunk.
+func (n *Node) chunkStaged(trace uint64, start time.Time, bytes int64, objects int) {
+	n.tel.span(trace, telemetry.PhaseStage, start, bytes, objects)
+	n.stats.streamChunksIn.Add(1)
+	n.stats.streamBytesIn.Add(bytes)
+}
+
 // handleInstallChunk stages one chunk of snapshots into its session.
-// Records are decoded here, at staging time, so an unknown type, a
-// corrupt state blob or a conflicting live object fails the stream
-// early — the coordinator aborts instead of discovering the problem at
-// commit. A failed chunk dooms the whole transfer, so the session is
-// discarded on any error.
+// A failed chunk dooms the whole transfer, so the session is discarded
+// on any error.
 func (n *Node) handleInstallChunk(req *wire.InstallChunkReq) (*wire.InstallChunkResp, error) {
 	key := sessionKey{from: req.From, token: req.Token}
 	fail := func(err *wire.RemoteError) (*wire.InstallChunkResp, error) {
@@ -178,31 +260,10 @@ func (n *Node) handleInstallChunk(req *wire.InstallChunkReq) (*wire.InstallChunk
 	if !open {
 		return nil, wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", req.Token, req.From)
 	}
-	// Decode outside the session lock: state blobs can be large. The
-	// stage span covers decode and bookkeeping — the target-side cost
-	// of one chunk.
 	start := time.Now()
-	recs := make([]*store.Record, len(req.Snapshots))
-	var bytes int64
-	for i := range req.Snapshots {
-		snap := &req.Snapshots[i]
-		rec, err := n.decodeSnapshot(snap)
-		if err != nil {
-			var re *wire.RemoteError
-			if !errors.As(err, &re) {
-				re = wire.Errorf(wire.CodeInternal, "stage %s: %v", snap.ID, err)
-			}
-			return fail(re)
-		}
-		if err := n.store.Installable(snap.ID, req.Token); err != nil {
-			var re *wire.RemoteError
-			if !errors.As(err, &re) {
-				re = wire.Errorf(wire.CodeDenied, "stage %s: %v", snap.ID, err)
-			}
-			return fail(re)
-		}
-		recs[i] = rec
-		bytes += int64(wire.SnapshotSize(snap))
+	recs, bytes, rerr := n.decodeChunk(req.Snapshots, req.Token)
+	if rerr != nil {
+		return fail(rerr)
 	}
 
 	n.sessMu.Lock()
@@ -211,20 +272,10 @@ func (n *Node) handleInstallChunk(req *wire.InstallChunkReq) (*wire.InstallChunk
 		n.sessMu.Unlock()
 		return nil, wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", req.Token, req.From)
 	}
-	for i := range req.Snapshots {
-		oid := req.Snapshots[i].ID
-		if !s.expect[oid] {
-			n.sessMu.Unlock()
-			return fail(wire.Errorf(wire.CodeBadRequest, "chunk carries %s, not a member of session %d", oid, req.Token))
-		}
-		if s.staged[oid] {
-			n.sessMu.Unlock()
-			return fail(wire.Errorf(wire.CodeBadRequest, "chunk re-stages %s in session %d", oid, req.Token))
-		}
-		s.staged[oid] = true
+	if rerr := s.stage(req.Snapshots, recs, bytes); rerr != nil {
+		n.sessMu.Unlock()
+		return fail(rerr)
 	}
-	s.recs = append(s.recs, recs...)
-	s.bytes += bytes
 	s.touched = time.Now()
 	if s.timer != nil {
 		s.timer.Reset(n.migrate.SessionTTL)
@@ -232,15 +283,13 @@ func (n *Node) handleInstallChunk(req *wire.InstallChunkReq) (*wire.InstallChunk
 	staged := len(s.recs)
 	n.sessMu.Unlock()
 
-	n.tel.span(req.Trace, telemetry.PhaseStage, start, bytes, len(req.Snapshots))
-	n.stats.streamChunksIn.Add(1)
-	n.stats.streamBytesIn.Add(bytes)
+	n.chunkStaged(req.Trace, start, bytes, len(req.Snapshots))
 	return &wire.InstallChunkResp{Staged: staged}, nil
 }
 
-// handleInstallCommit closes a session: every expected member must be
-// staged, and the whole group is installed in one atomic shard-aware
-// batch. Whatever the outcome, the session is gone afterwards.
+// handleInstallCommit closes a session and installs its group (see
+// installSession). Whatever the outcome, the session is gone
+// afterwards.
 func (n *Node) handleInstallCommit(req *wire.InstallCommitReq) (*wire.InstallCommitResp, error) {
 	key := sessionKey{from: req.From, token: req.Token}
 	n.sessMu.Lock()
@@ -255,27 +304,38 @@ func (n *Node) handleInstallCommit(req *wire.InstallCommitReq) (*wire.InstallCom
 	if !ok {
 		return nil, wire.Errorf(wire.CodeDenied, "no migration session %d from %s (expired?)", req.Token, req.From)
 	}
-	if missing := len(s.expect) - len(s.staged); missing > 0 {
-		return nil, wire.Errorf(wire.CodeBadRequest,
-			"commit of session %d from %s with %d of %d members unstaged", req.Token, req.From, missing, len(s.expect))
+	if err := n.installSession(s); err != nil {
+		return nil, err
 	}
-	start := time.Now()
+	return &wire.InstallCommitResp{Installed: len(s.recs)}, nil
+}
+
+// installSession installs a session that is out of the table (or
+// never entered it): every expected member must be staged, and the
+// whole group is installed in one atomic shard-aware batch. The
+// session's reservation is released whatever the outcome.
+func (n *Node) installSession(s *migSession) error {
 	// The reservation is released only after InstallBatch: between the
 	// install and the release the group is briefly counted twice (as
 	// residency and as a claim), which errs on the safe side — hosted
 	// plus reserved never undercounts what the node is committed to.
-	defer n.releaseReservation(req.From, req.Token)
-	if err := n.store.InstallBatch(s.recs, req.Token); err != nil {
+	defer n.releaseReservation(s.key.from, s.key.token)
+	if missing := len(s.expect) - len(s.staged); missing > 0 {
+		return wire.Errorf(wire.CodeBadRequest,
+			"commit of session %d from %s with %d of %d members unstaged", s.key.token, s.key.from, missing, len(s.expect))
+	}
+	start := time.Now()
+	if err := n.store.InstallBatch(s.recs, s.key.token); err != nil {
 		var re *wire.RemoteError
 		if errors.As(err, &re) {
-			return nil, re
+			return re
 		}
-		return nil, wire.Errorf(wire.CodeInternal, "install: %v", err)
+		return wire.Errorf(wire.CodeInternal, "install: %v", err)
 	}
 	// Members that were paused *here* (the target hosted some of the
 	// group) were just replaced by the installation; their lease must
 	// not fire later and there is nothing left for it to resume.
-	n.cancelPauseLease(key)
+	n.cancelPauseLease(s.key)
 	n.tel.span(s.trace, telemetry.PhaseInstall, start, s.bytes, len(s.recs))
 	installed := make([]Ref, len(s.recs))
 	for i, rec := range s.recs {
@@ -283,8 +343,8 @@ func (n *Node) handleInstallCommit(req *wire.InstallCommitReq) (*wire.InstallCom
 	}
 	n.stats.objectsInstalled.Add(int64(len(s.recs)))
 	n.emit(Event{Kind: EventInstall, Objects: installed})
-	n.emit(Event{Kind: EventMigrateStream, Target: req.From, Outcome: "commit", Bytes: s.bytes})
-	return &wire.InstallCommitResp{Installed: len(s.recs)}, nil
+	n.emit(Event{Kind: EventMigrateStream, Target: s.key.from, Outcome: "commit", Bytes: s.bytes})
+	return nil
 }
 
 // expireSession is the TTL janitor: a session that stopped receiving
@@ -334,7 +394,7 @@ func (n *Node) dropSession(key sessionKey, outcome string) bool {
 	return true
 }
 
-// abortFence plants a tombstone for an aborted migration: installs and
+// abortFence plants a tombstone for an aborted migration: pauses and
 // session-begins for (coordinator, token) are refused afterwards, so a
 // frame that was in flight when the abort (or a lease resume) happened
 // cannot land late and duplicate objects the sources already resumed.

@@ -200,7 +200,9 @@ type Node struct {
 	stats nodeStats
 	tel   *nodeTelemetry
 
-	bg sync.WaitGroup // background work: home updates, reinstantiation
+	bg     sync.WaitGroup // background work: home updates, reinstantiation
+	bgMu   sync.Mutex     // orders spawn's Add against Close's Wait
+	bgShut bool           // Close is waiting for bg; spawn drops new work
 }
 
 // NewNode creates and starts a node.
@@ -407,6 +409,9 @@ func (n *Node) Close() error {
 	_ = n.pool.Close()
 	n.closeSessions()
 	n.closePauseLeases()
+	n.bgMu.Lock()
+	n.bgShut = true
+	n.bgMu.Unlock()
 	n.bg.Wait()
 	// The sink goes last: background work above may still emit, and a
 	// drained queue means observers see every event that made it in.
@@ -461,10 +466,6 @@ func (n *Node) handle(ctx context.Context, kind wire.Kind, body, dst []byte) ([]
 	case wire.KPause:
 		return handleTyped(body, dst, func(req *wire.PauseReq) (*wire.PauseResp, error) {
 			return n.handlePause(ctx, req)
-		})
-	case wire.KInstall:
-		return handleTyped(body, dst, func(req *wire.InstallReq) (*wire.InstallResp, error) {
-			return n.handleInstall(req)
 		})
 	case wire.KMigrateBegin:
 		return handleTyped(body, dst, func(req *wire.MigrateBeginReq) (*wire.MigrateBeginResp, error) {
@@ -547,8 +548,15 @@ func handleTyped[Req, Resp any](body, dst []byte, fn func(*Req) (*Resp, error)) 
 }
 
 // spawn runs fn in a tracked background goroutine (never fire-and-
-// forget).
+// forget). Once Close waits for background work, fn is dropped: an Add
+// racing that Wait is a WaitGroup misuse, and a closed node has no use
+// for late best-effort work (its RPC pool is already shut).
 func (n *Node) spawn(fn func()) {
+	n.bgMu.Lock()
+	defer n.bgMu.Unlock()
+	if n.bgShut {
+		return
+	}
 	n.bg.Add(1)
 	go func() {
 		defer n.bg.Done()

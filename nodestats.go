@@ -41,7 +41,7 @@ type Stats struct {
 	HomeUpdateBatches int64
 	// StreamChunksOut / StreamBytesOut count the migration payload
 	// frames this node shipped as a coordinator — InstallChunk frames
-	// of streamed transfers and one-shot InstallReq frames alike — and
+	// and MigrateBegin frames that carry a first chunk alike — and
 	// the snapshot bytes they carried; StreamMaxChunkBytes is the
 	// largest single frame, the coordinator's peak per-frame
 	// buffering. With chunking enabled it stays bounded by

@@ -632,9 +632,9 @@ func (n *Node) selfSample() placement.Sample {
 // here) do not count as incoming, so same-node reshuffles and
 // returning objects are never vetoed. bytes is the coordinator's
 // estimate of the group's snapshot footprint; token keys the claim
-// alongside the staging session, and the caller owns releasing it
-// (dropSession / commit / one-shot completion) whenever reserved is
-// true. A nil error admits the migration.
+// alongside the migration session, and the caller owns releasing it
+// (dropSession / installSession) whenever reserved is true. A nil
+// error admits the migration.
 //
 // With cfg.DisableReservations the pre-ledger check-then-act predicate
 // runs instead: correct against a single coordinator, overshootable by
@@ -642,53 +642,17 @@ func (n *Node) selfSample() placement.Sample {
 func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token uint64) (reserved bool, err error) {
 	// A draining node refuses every inbound migration outright —
 	// capacity or not — so the optimiser daemons and rival coordinators
-	// cannot refill it while a drain job empties it. Objects already
-	// present still re-admit (same-node reshuffles, returning objects).
-	if n.draining.Load() && len(objs) > 0 {
-		incoming := 0
-		for _, rec := range n.store.GetBatch(objs) {
-			if rec == nil || rec.IsGone() {
-				incoming++
-			}
-		}
-		if incoming > 0 {
-			n.stats.placementVetoes.Add(1)
-			refs := make([]Ref, len(objs))
-			for i, oid := range objs {
-				refs[i] = Ref{OID: oid}
-			}
-			n.emit(Event{Kind: EventPlacement, Target: from, Outcome: "veto", Objects: refs})
-			return false, wire.Errorf(wire.CodeDenied,
-				"node %s is draining: migration of %d objects refused", n.id, incoming)
-		}
-	}
-	// A critical node refuses inbound migrations the same way a
-	// draining one does — its own health engine has judged it unfit to
-	// take more load, capacity headroom notwithstanding. This is the
+	// cannot refill it while a drain job empties it. A critical node
+	// refuses the same way: its own health engine has judged it unfit
+	// to take more load, capacity headroom notwithstanding. This is the
 	// authoritative, target-side half of the health gate: a coordinator
 	// whose gossiped view lags (or predates) the transition is
 	// back-pressured here instead of trusted.
-	if HealthState(n.healthState.Load()) >= HealthCritical && len(objs) > 0 {
-		incoming := 0
-		for _, rec := range n.store.GetBatch(objs) {
-			if rec == nil || rec.IsGone() {
-				incoming++
-			}
-		}
-		if incoming > 0 {
-			n.stats.healthVetoes.Add(1)
-			n.stats.placementVetoes.Add(1)
-			refs := make([]Ref, len(objs))
-			for i, oid := range objs {
-				refs[i] = Ref{OID: oid}
-			}
-			n.emit(Event{Kind: EventPlacement, Target: from, Outcome: "veto", Objects: refs})
-			return false, wire.Errorf(wire.CodeDenied,
-				"node %s is critical: migration of %d objects refused", n.id, incoming)
-		}
-	}
+	draining := n.draining.Load()
+	critical := HealthState(n.healthState.Load()) >= HealthCritical
 	d := n.placementDaemonRef()
-	if d == nil || (n.capacity <= 0 && n.capBytes <= 0) || len(objs) == 0 {
+	capped := d != nil && (n.capacity > 0 || n.capBytes > 0)
+	if len(objs) == 0 || !(draining || critical || capped) {
 		return false, nil
 	}
 	incoming := 0
@@ -697,8 +661,20 @@ func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token 
 			incoming++
 		}
 	}
+	// Objects already present re-admit regardless (same-node
+	// reshuffles, returning objects).
 	if incoming == 0 {
 		return false, nil
+	}
+	if draining || critical {
+		state := "draining"
+		if !draining {
+			state = "critical"
+			n.stats.healthVetoes.Add(1)
+		}
+		n.vetoEvent(objs, from)
+		return false, wire.Errorf(wire.CodeDenied,
+			"node %s is %s: migration of %d objects refused", n.id, state, incoming)
 	}
 	if d.cfg.DisableReservations {
 		self := n.selfSample()
@@ -717,14 +693,19 @@ func (n *Node) admitAndReserve(objs []core.OID, bytes int64, from NodeID, token 
 	return true, nil
 }
 
-// placementVeto records and reports one refused admission.
-func (n *Node) placementVeto(objs []core.OID, from NodeID, incoming int, bytes int64) error {
+// vetoEvent counts and announces one refused admission.
+func (n *Node) vetoEvent(objs []core.OID, from NodeID) {
 	n.stats.placementVetoes.Add(1)
 	refs := make([]Ref, len(objs))
 	for i, oid := range objs {
 		refs[i] = Ref{OID: oid}
 	}
 	n.emit(Event{Kind: EventPlacement, Target: from, Outcome: "veto", Objects: refs})
+}
+
+// placementVeto records and reports one capacity refusal.
+func (n *Node) placementVeto(objs []core.OID, from NodeID, incoming int, bytes int64) error {
+	n.vetoEvent(objs, from)
 	hosted, hostedBytes := n.store.HostedStats()
 	res := n.resv.Reserved()
 	return wire.Errorf(wire.CodeDenied,
