@@ -81,17 +81,18 @@ func (n *Node) WorkingSet(ctx context.Context, ref Ref, al AllianceID) ([]Ref, e
 // location.
 func (n *Node) edgeAdd(ctx context.Context, obj, other core.OID, al core.AllianceID) error {
 	req := &wire.EdgeAddReq{Obj: obj, Other: other, Alliance: al, Mode: n.attachMode}
-	return n.edgeRequest(ctx, obj, wire.KEdgeAdd, req)
+	return n.edgeRequest(ctx, obj, wire.KEdgeAdd, req, new(wire.EdgeAddResp))
 }
 
 // edgeDel removes half an attachment at the host of obj.
 func (n *Node) edgeDel(ctx context.Context, obj, other core.OID, al core.AllianceID) error {
 	req := &wire.EdgeDelReq{Obj: obj, Other: other, Alliance: al}
-	return n.edgeRequest(ctx, obj, wire.KEdgeDel, req)
+	return n.edgeRequest(ctx, obj, wire.KEdgeDel, req, new(wire.EdgeDelResp))
 }
 
-// edgeRequest chases obj's host and delivers an edge mutation there.
-func (n *Node) edgeRequest(ctx context.Context, oid core.OID, kind wire.Kind, req interface{}) error {
+// edgeRequest chases obj's host and delivers an edge mutation there;
+// a remote reply decodes into resp, the reply type matching kind.
+func (n *Node) edgeRequest(ctx context.Context, oid core.OID, kind wire.Kind, req, resp interface{}) error {
 	c := n.newChase(oid)
 	defer c.end()
 	for c.next(ctx) {
@@ -116,9 +117,8 @@ func (n *Node) edgeRequest(ctx context.Context, oid core.OID, kind wire.Kind, re
 			}
 			return fmt.Errorf("%w: %s", ErrNotFound, oid)
 		}
-		var resp wire.EdgeAddResp
 		c.hop()
-		err := n.call(ctx, target, kind, req, &resp)
+		err := n.call(ctx, target, kind, req, resp)
 		if err == nil {
 			return nil
 		}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"objmig/internal/core"
 	"objmig/internal/store"
@@ -300,8 +301,8 @@ func codecBodies() (*wire.InvokeReq, *wire.Snapshot) {
 }
 
 // BenchmarkRuntimeCodec compares the per-message gob baseline against
-// the fast-path codec behind wire.Marshal, on encode+decode round
-// trips of the two hot bodies. The append sub-benchmarks measure the
+// the wire codec behind wire.Marshal, on encode+decode round trips of
+// the hot bodies. The append sub-benchmarks measure the
 // zero-copy path the rpc layer actually runs — wire.MarshalAppend into
 // a reused frame buffer — whose remaining allocs/op are pure decode
 // output (the strings, byte slices and maps handed to the caller).
@@ -377,6 +378,16 @@ func BenchmarkRuntimeCodec(b *testing.B) {
 		Snapshots: []wire.Snapshot{*snap},
 	}
 	runAppend("Chunk/append", chunk, func() interface{} { return new(wire.InstallChunkReq) })
+	// The error frame every failed call answers with, and the pause
+	// request that opens every migration.
+	rerr := &wire.RemoteError{Code: wire.CodeMoved, Msg: "object node-0/12345 moved", To: "node-1"}
+	runAppend("RemoteError/append", rerr, func() interface{} { return new(wire.RemoteError) })
+	pause := &wire.PauseReq{
+		Objs:  []core.OID{{Origin: "node-0", Seq: 1}, {Origin: "node-0", Seq: 2}},
+		Token: 42, MaxBytes: 1 << 20, Lease: 30 * time.Second,
+		From: "node-0", Target: "node-1", Trace: 0xABCD1234DEADBEEF,
+	}
+	runAppend("Pause/append", pause, func() interface{} { return new(wire.PauseReq) })
 }
 
 // BenchmarkShedPlan measures the shedder's planning pass alone: the

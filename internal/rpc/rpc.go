@@ -259,11 +259,8 @@ func (p *Peer) serve(id uint64, kind wire.Kind, body []byte) {
 			re = wire.Errorf(wire.CodeInternal, "%v", err)
 		}
 		// Rewind past anything a failing handler appended and encode
-		// the error instead.
-		var mErr error
-		if frame, mErr = wire.MarshalAppend(frame[:hdrLen], re); mErr != nil {
-			frame, _ = wire.MarshalAppend(frame[:hdrLen], wire.Errorf(wire.CodeInternal, "unencodable error"))
-		}
+		// the error instead (a RemoteError is a body: it always encodes).
+		frame, _ = wire.MarshalAppend(frame[:hdrLen], re)
 		frame[0] = dirErr
 	} else {
 		frame[0] = dirOK

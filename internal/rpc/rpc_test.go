@@ -313,8 +313,8 @@ func payloadFor(seed, n int) []byte {
 }
 
 // stressHandler verifies the request checksum and answers with a fresh
-// deterministic payload (seed+1) plus its checksum. KInvoke exercises
-// the fast-path codec, KPing the gob fallback; payload "err" exercises
+// deterministic payload (seed+1) plus its checksum. KInvoke carries
+// bulk byte fields, KPing a small string body; payload "err" exercises
 // the error frame path.
 func stressHandler(ctx context.Context, kind wire.Kind, body, dst []byte) ([]byte, error) {
 	switch kind {
@@ -353,7 +353,7 @@ func stressCalls(t *testing.T, p *Peer, worker, iters int) {
 	for i := 0; i < iters; i++ {
 		seed := worker*1_000_000 + i*2
 		switch i % 5 {
-		case 4: // gob fallback body
+		case 4: // small string body
 			var resp wire.PingResp
 			msg := fmt.Sprintf("gob-%d", seed)
 			if i%10 == 9 {

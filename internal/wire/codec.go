@@ -1,45 +1,38 @@
 package wire
 
-// The codec behind Marshal/MarshalAppend/Unmarshal. Two layers:
+// The codec behind Marshal/MarshalAppend/Unmarshal. Every body type
+// carries its own encoder and decoder, side by side below:
 //
-//   - A hand-rolled binary fast path for the high-frequency bodies —
-//     invoke, locate and home-update traffic, the snapshots that make
-//     up every migration batch, and the move/end/migrate control
-//     bodies that heat up once the autopilot issues migrations
-//     continuously. These encode to [tag][varint-framed fields] with
-//     zero reflection and no per-message encoder state.
-//   - A gob fallback for everything else (control-plane bodies and
-//     remote errors), prefixed with tagGob. Gob's encoder/decoder
-//     objects cannot be reused across independent messages (each
-//     stream re-sends type descriptors), so the fallback encodes
-//     through a throwaway encoder; the decode side pools its
-//     bytes.Reader.
+//   - appendTo(b) has a value receiver, so value and pointer forms both
+//     encode. It appends [tag][varint-framed fields] to b with zero
+//     reflection and no per-message encoder state.
+//   - decodeFrom(r) has a pointer receiver. It checks the tag and reads
+//     the fields back in the same order.
 //
-// Both layers are append-style: encoders extend the destination slice
-// in place, so the rpc layer can reserve a frame header and have the
-// body land directly behind it in the same (pooled) buffer — a message
-// is encoded exactly once, into its final frame. See MarshalAppend in
-// wire.go for the buffer-ownership rules.
-//
-// A gob stream's first byte is a positive segment length, so tagGob = 0
-// can never collide with a legacy un-prefixed message. Both layers sit
-// behind the package's Marshal/Unmarshal API: internal/rpc and the
-// transports pick the fast path up transparently.
+// Encoders are append-style: they extend the destination slice in
+// place, so the rpc layer can reserve a frame header and have the body
+// land directly behind it in the same (pooled) buffer — a message is
+// encoded exactly once, into its final frame. Bodies that can carry
+// bulk payloads call grow before writing their tag. See MarshalAppend
+// in wire.go for the buffer-ownership rules and docs/wire-format.md
+// for every layout.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"objmig/internal/core"
 	"objmig/internal/framebuf"
 )
 
+// One tag per body. Tags are append-only: a new body takes the next
+// number, and a layout, once shipped, is frozen under its tag.
 const (
-	tagGob byte = iota
+	tagGob byte = iota // retired: the former gob fallback; refused like any unknown tag
 	tagInvokeReq
 	tagInvokeResp
 	tagLocateReq
@@ -63,44 +56,33 @@ const (
 	tagInstallCommitResp
 	tagLoadGossipReq
 	tagLoadGossipResp
+	tagPauseReq
+	tagCommitReq
+	tagCommitResp
+	tagAbortReq
+	tagAbortResp
+	tagInventoryReq
+	tagInventoryResp
+	tagEdgeAddReq
+	tagEdgeAddResp
+	tagEdgeDelReq
+	tagEdgeDelResp
+	tagEdgesReq
+	tagEdgesResp
+	tagFixReq
+	tagFixResp
+	tagPingReq
+	tagPingResp
+	tagRemoteError
 )
 
-// --- Gob fallback ---
+// body is a message the codec can encode.
+type body interface{ appendTo(b []byte) []byte }
 
-// sliceWriter adapts an append target to io.Writer so gob can encode
-// directly into the tail of a frame buffer.
-type sliceWriter struct{ b []byte }
+// decoder is implemented by a pointer to every body type.
+type decoder interface{ decodeFrom(r *reader) }
 
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-var decReaderPool = sync.Pool{New: func() interface{} { return new(bytes.Reader) }}
-
-func marshalGobAppend(dst []byte, v interface{}) ([]byte, error) {
-	w := sliceWriter{b: append(dst, tagGob)}
-	if err := gob.NewEncoder(&w).Encode(v); err != nil {
-		// Leave dst exactly as handed in: a failed encode must not
-		// publish half a body into a frame the caller will reuse.
-		return dst, fmt.Errorf("wire: marshal %T: %w", v, err)
-	}
-	return w.b, nil
-}
-
-func unmarshalGob(data []byte, v interface{}) error {
-	r := decReaderPool.Get().(*bytes.Reader)
-	r.Reset(data)
-	err := gob.NewDecoder(r).Decode(v)
-	r.Reset(nil) // don't pin the frame while the reader sits in the pool
-	decReaderPool.Put(r)
-	if err != nil {
-		return fmt.Errorf("wire: unmarshal %T: %w", v, err)
-	}
-	return nil
-}
-
-// --- Fast-path encoding ---
+// --- Encoding primitives ---
 
 // grow ensures dst has room for n more bytes, reallocating at most
 // once (append's geometric growth would copy the prefix repeatedly
@@ -123,15 +105,9 @@ func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v
 
 func appendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
 
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
+func appendStr(b []byte, s string) []byte { return append(appendUvarint(b, uint64(len(s))), s...) }
 
-func appendByteSlice(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
+func appendByteSlice(b, p []byte) []byte { return append(appendUvarint(b, uint64(len(p))), p...) }
 
 func appendBool(b []byte, v bool) []byte {
 	if v {
@@ -141,8 +117,39 @@ func appendBool(b []byte, v bool) []byte {
 }
 
 func appendOID(b []byte, id core.OID) []byte {
-	b = appendStr(b, string(id.Origin))
-	return appendUvarint(b, id.Seq)
+	return appendUvarint(appendStr(b, string(id.Origin)), id.Seq)
+}
+
+// appendList encodes a list as a uvarint count followed by each
+// element; readList is its inverse.
+func appendList[T any](b []byte, xs []T, enc func([]byte, T) []byte) []byte {
+	b = appendUvarint(b, uint64(len(xs)))
+	for _, x := range xs {
+		b = enc(b, x)
+	}
+	return b
+}
+
+func appendEdge(b []byte, e EdgeRec) []byte {
+	return appendUvarint(appendOID(b, e.Other), uint64(e.Alliance))
+}
+
+func appendAffinity(b []byte, o AffinityObs) []byte {
+	b = appendOID(b, o.Obj)
+	b = appendStr(b, string(o.From))
+	return appendVarint(b, o.Count)
+}
+
+func appendClosure(b []byte, cl ClosureLoc) []byte {
+	b = appendOID(b, cl.Anchor)
+	b = appendUvarint(b, cl.Gen)
+	return appendList(b, cl.Members, appendOID)
+}
+
+func appendUnit(b []byte, u InventoryUnit) []byte {
+	b = appendOID(b, u.Anchor)
+	b = appendVarint(b, u.Bytes)
+	return appendVarint(b, u.Pressure)
 }
 
 // appendNodeLoad encodes one load sample (~8 varints plus the node
@@ -158,6 +165,15 @@ func appendNodeLoad(b []byte, l *NodeLoad) []byte {
 	return appendUvarint(b, uint64(l.Health))
 }
 
+// appendOptLoad encodes a presence-flagged load sample.
+func appendOptLoad(b []byte, l *NodeLoad) []byte {
+	b = appendBool(b, l != nil)
+	if l != nil {
+		b = appendNodeLoad(b, l)
+	}
+	return b
+}
+
 // loadSize estimates the encoded size of a load sample.
 func loadSize(l *NodeLoad) int {
 	if l == nil {
@@ -166,15 +182,9 @@ func loadSize(l *NodeLoad) int {
 	return 59 + len(l.Node)
 }
 
-func appendOIDs(b []byte, ids []core.OID) []byte {
-	b = appendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = appendOID(b, id)
-	}
-	return b
-}
-
-func appendSnapshotBody(b []byte, s *Snapshot) []byte {
+// appendSnapshot encodes a snapshot without a tag: the layout shared by
+// the Snapshot body and every snapshot list.
+func appendSnapshot(b []byte, s Snapshot) []byte {
 	b = appendOID(b, s.ID)
 	b = appendStr(b, s.Type)
 	b = appendByteSlice(b, s.State)
@@ -195,11 +205,7 @@ func appendSnapshotBody(b []byte, s *Snapshot) []byte {
 			b = appendVarint(b, int64(s.Pol.OpenMoves[k]))
 		}
 	}
-	b = appendUvarint(b, uint64(len(s.Edges)))
-	for _, e := range s.Edges {
-		b = appendOID(b, e.Other)
-		b = appendUvarint(b, uint64(e.Alliance))
-	}
+	b = appendList(b, s.Edges, appendEdge)
 	return appendUvarint(b, s.Gen)
 }
 
@@ -225,386 +231,146 @@ func oidsSize(ids []core.OID) int {
 	return n
 }
 
-// marshalFastAppend appends the encoding of a known hot-path body to
-// dst; ok=false means the body has no fast path and the caller falls
-// back to gob. Both pointer and value forms are accepted, mirroring
-// gob. Bodies that can carry bulk payloads pre-grow dst once, so even
-// a megabyte-sized snapshot chunk lands in its frame with at most one
-// reallocation.
-func marshalFastAppend(dst []byte, v interface{}) (data []byte, ok bool) {
-	switch m := v.(type) {
-	case *InvokeReq:
-		b := grow(dst, 32+len(m.Obj.Origin)+len(m.Method)+len(m.Arg)+len(m.From))
-		b = append(b, tagInvokeReq)
-		b = appendOID(b, m.Obj)
-		b = appendStr(b, m.Method)
-		b = appendByteSlice(b, m.Arg)
-		return appendStr(b, string(m.From)), true
-	case InvokeReq:
-		return marshalFastAppend(dst, &m)
-	case *InvokeResp:
-		b := grow(dst, 16+len(m.Result)+len(m.At))
-		b = append(b, tagInvokeResp)
-		b = appendByteSlice(b, m.Result)
-		return appendStr(b, string(m.At)), true
-	case InvokeResp:
-		return marshalFastAppend(dst, &m)
-	case *LocateReq:
-		b := append(dst, tagLocateReq)
-		return appendOID(b, m.Obj), true
-	case LocateReq:
-		return marshalFastAppend(dst, &m)
-	case *LocateResp:
-		b := append(dst, tagLocateResp)
-		return appendStr(b, string(m.At)), true
-	case LocateResp:
-		return marshalFastAppend(dst, &m)
-	case *HomeUpdate:
-		hint := 32 + oidsSize(m.Objs) + len(m.At) + loadSize(m.Load) + 10*len(m.Gens)
-		for _, o := range m.Aff {
-			hint += 24 + len(o.Obj.Origin) + len(o.From)
-		}
-		for i := range m.Closures {
-			cl := &m.Closures[i]
-			hint += 24 + len(cl.Anchor.Origin) + oidsSize(cl.Members)
-		}
-		b := grow(dst, hint)
-		b = append(b, tagHomeUpdate)
-		b = appendOIDs(b, m.Objs)
-		b = appendStr(b, string(m.At))
-		b = appendUvarint(b, uint64(len(m.Aff)))
-		for _, o := range m.Aff {
-			b = appendOID(b, o.Obj)
-			b = appendStr(b, string(o.From))
-			b = appendVarint(b, o.Count)
-		}
-		b = appendBool(b, m.Load != nil)
-		if m.Load != nil {
-			b = appendNodeLoad(b, m.Load)
-		}
-		b = appendUvarint(b, uint64(len(m.Gens)))
-		for _, g := range m.Gens {
-			b = appendUvarint(b, g)
-		}
-		b = appendUvarint(b, uint64(len(m.Closures)))
-		for i := range m.Closures {
-			cl := &m.Closures[i]
-			b = appendOID(b, cl.Anchor)
-			b = appendUvarint(b, cl.Gen)
-			b = appendOIDs(b, cl.Members)
-		}
-		return appendUvarint(b, m.Trace), true
-	case HomeUpdate:
-		return marshalFastAppend(dst, &m)
-	case *HomeUpdateResp:
-		b := grow(dst, 2+loadSize(m.Load))
-		b = append(b, tagHomeUpdateResp)
-		b = appendBool(b, m.Load != nil)
-		if m.Load != nil {
-			b = appendNodeLoad(b, m.Load)
-		}
-		return b, true
-	case HomeUpdateResp:
-		return marshalFastAppend(dst, &m)
-	case *Snapshot:
-		b := grow(dst, 1+SnapshotSize(m))
-		b = append(b, tagSnapshot)
-		return appendSnapshotBody(b, m), true
-	case Snapshot:
-		return marshalFastAppend(dst, &m)
-	case *PauseResp:
-		b := grow(dst, 16+snapshotsSize(m.Snapshots)+oidsSize(m.Pending))
-		b = append(b, tagPauseResp)
-		b = appendUvarint(b, uint64(len(m.Snapshots)))
-		for i := range m.Snapshots {
-			b = appendSnapshotBody(b, &m.Snapshots[i])
-		}
-		return appendOIDs(b, m.Pending), true
-	case PauseResp:
-		return marshalFastAppend(dst, &m)
-	case *MoveReq:
-		b := append(dst, tagMoveReq)
-		b = appendOID(b, m.Obj)
-		b = appendStr(b, string(m.From))
-		b = appendUvarint(b, uint64(m.Block))
-		return appendUvarint(b, uint64(m.Alliance)), true
-	case MoveReq:
-		return marshalFastAppend(dst, &m)
-	case *MoveResp:
-		b := append(dst, tagMoveResp)
-		b = appendVarint(b, int64(m.Outcome))
-		b = appendVarint(b, int64(m.Reason))
-		b = appendStr(b, string(m.At))
-		return appendOIDs(b, m.Moved), true
-	case MoveResp:
-		return marshalFastAppend(dst, &m)
-	case *EndReq:
-		b := append(dst, tagEndReq)
-		b = appendOID(b, m.Obj)
-		b = appendStr(b, string(m.From))
-		b = appendUvarint(b, uint64(m.Block))
-		b = appendUvarint(b, uint64(m.Alliance))
-		return appendOIDs(b, m.Members), true
-	case EndReq:
-		return marshalFastAppend(dst, &m)
-	case *EndResp:
-		b := append(dst, tagEndResp)
-		b = appendBool(b, m.Unlocked)
-		b = appendBool(b, m.Migrated)
-		return appendStr(b, string(m.At)), true
-	case EndResp:
-		return marshalFastAppend(dst, &m)
-	case *MigrateReq:
-		b := append(dst, tagMigrateReq)
-		b = appendOID(b, m.Obj)
-		b = appendStr(b, string(m.Target))
-		b = appendUvarint(b, uint64(m.Alliance))
-		return appendBool(b, m.Fix), true
-	case MigrateReq:
-		return marshalFastAppend(dst, &m)
-	case *MigrateResp:
-		b := append(dst, tagMigrateResp)
-		b = appendStr(b, string(m.At))
-		return appendOIDs(b, m.Moved), true
-	case MigrateResp:
-		return marshalFastAppend(dst, &m)
-	case *MigrateBeginReq:
-		b := grow(dst, 56+len(m.From)+oidsSize(m.Objs)+snapshotsSize(m.Snapshots))
-		b = append(b, tagMigrateBeginReq)
-		b = appendUvarint(b, m.Token)
-		b = appendStr(b, string(m.From))
-		b = appendOIDs(b, m.Objs)
-		b = appendVarint(b, m.Bytes)
-		b = appendUvarint(b, m.Trace)
-		b = appendUvarint(b, uint64(len(m.Snapshots)))
-		for i := range m.Snapshots {
-			b = appendSnapshotBody(b, &m.Snapshots[i])
-		}
-		return appendBool(b, m.Commit), true
-	case MigrateBeginReq:
-		return marshalFastAppend(dst, &m)
-	case *MigrateBeginResp:
-		b := grow(dst, 12)
-		b = append(b, tagMigrateBeginResp)
-		b = appendBool(b, m.Reserved)
-		return appendVarint(b, m.ReservedBytes), true
-	case MigrateBeginResp:
-		return marshalFastAppend(dst, &m)
-	case *InstallChunkReq:
-		b := grow(dst, 42+len(m.From)+snapshotsSize(m.Snapshots))
-		b = append(b, tagInstallChunkReq)
-		b = appendUvarint(b, m.Token)
-		b = appendStr(b, string(m.From))
-		b = appendUvarint(b, m.Seq)
-		b = appendUvarint(b, uint64(len(m.Snapshots)))
-		for i := range m.Snapshots {
-			b = appendSnapshotBody(b, &m.Snapshots[i])
-		}
-		return appendUvarint(b, m.Trace), true
-	case InstallChunkReq:
-		return marshalFastAppend(dst, &m)
-	case *InstallChunkResp:
-		b := append(dst, tagInstallChunkResp)
-		return appendVarint(b, int64(m.Staged)), true
-	case InstallChunkResp:
-		return marshalFastAppend(dst, &m)
-	case *InstallCommitReq:
-		b := append(dst, tagInstallCommitReq)
-		b = appendUvarint(b, m.Token)
-		b = appendStr(b, string(m.From))
-		return appendUvarint(b, m.Trace), true
-	case InstallCommitReq:
-		return marshalFastAppend(dst, &m)
-	case *InstallCommitResp:
-		b := append(dst, tagInstallCommitResp)
-		return appendVarint(b, int64(m.Installed)), true
-	case InstallCommitResp:
-		return marshalFastAppend(dst, &m)
-	case *LoadGossipReq:
-		b := grow(dst, 1+loadSize(&m.Load))
-		b = append(b, tagLoadGossipReq)
-		return appendNodeLoad(b, &m.Load), true
-	case LoadGossipReq:
-		return marshalFastAppend(dst, &m)
-	case *LoadGossipResp:
-		b := grow(dst, 1+loadSize(&m.Load))
-		b = append(b, tagLoadGossipResp)
-		return appendNodeLoad(b, &m.Load), true
-	case LoadGossipResp:
-		return marshalFastAppend(dst, &m)
-	}
-	return dst, false
-}
+// --- Decoding primitives ---
 
-// --- Fast-path decoding ---
-
-// reader is a cursor over a fast-path body. The first field error
-// sticks; callers check err once at the end.
+// reader is a cursor over one encoded body. The first error sticks:
+// later reads return zero values, and Unmarshal reports it once at
+// the end.
 type reader struct {
 	data []byte
 	pos  int
 	err  error
 }
 
-func (r *reader) fail() {
+// readers recycles decode cursors (see Unmarshal). A *reader handed
+// to decodeFrom through an interface escapes to the heap; pooling keeps
+// that from costing an allocation per message.
+var readers = sync.Pool{New: func() interface{} { return new(reader) }}
+
+func (r *reader) fail(format string, args ...interface{}) {
 	if r.err == nil {
-		r.err = fmt.Errorf("wire: truncated fast-path body at offset %d", r.pos)
+		r.err = fmt.Errorf(format, args...)
 	}
+}
+
+func (r *reader) truncated() { r.fail("truncated body at offset %d", r.pos) }
+
+// next reads one raw byte.
+func (r *reader) next() byte {
+	if r.err != nil || r.pos >= len(r.data) {
+		r.truncated()
+		return 0
+	}
+	c := r.data[r.pos]
+	r.pos++
+	return c
+}
+
+// expect consumes the body's tag, refusing a body of another type. It
+// returns r, so a decoder reads its first field off the call.
+func (r *reader) expect(tag byte) *reader {
+	if got := r.next(); got != tag {
+		r.fail("body carries tag %d", got)
+	}
+	return r
+}
+
+// bool reads exactly one byte, 0 or 1.
+func (r *reader) bool() bool {
+	c := r.next()
+	if c > 1 {
+		r.fail("bool byte %#x at offset %d", c, r.pos-1)
+	}
+	return c == 1
 }
 
 func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail()
+	if r.err != nil || n <= 0 {
+		r.truncated()
 		return 0
 	}
 	r.pos += n
 	return v
 }
 
+// varint undoes the zig-zag mapping of appendVarint.
 func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (r *reader) bool() bool { return r.uvarint() != 0 }
-
-func (r *reader) str() string {
+// count reads a length. Every counted element or byte takes at least
+// one byte, so a count beyond the bytes left is corrupt — the bound
+// that keeps a forged length from allocating a huge list.
+func (r *reader) count() int {
 	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
 	if n > uint64(len(r.data)-r.pos) {
-		r.fail()
-		return ""
+		r.truncated()
+		return 0
 	}
-	s := string(r.data[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s
+	return int(n)
 }
+
+// raw reads a length-prefixed byte string. The result aliases the
+// frame; str and byteSlice copy it out.
+func (r *reader) raw() []byte {
+	n := r.count()
+	p := r.data[r.pos : r.pos+n]
+	r.pos += n
+	return p
+}
+
+func (r *reader) str() string { return string(r.raw()) }
 
 // byteSlice copies the field out (wire bodies may alias reused
-// transport frames) and maps the empty slice to nil, matching gob.
+// transport frames) and maps the empty slice to nil.
 func (r *reader) byteSlice() []byte {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
+	p := r.raw()
+	if len(p) == 0 {
 		return nil
 	}
-	if n > uint64(len(r.data)-r.pos) {
-		r.fail()
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.data[r.pos:r.pos+int(n)])
-	r.pos += int(n)
+	out := make([]byte, len(p))
+	copy(out, p)
 	return out
 }
 
-func (r *reader) oid() core.OID {
-	origin := r.str()
-	seq := r.uvarint()
-	return core.OID{Origin: core.NodeID(origin), Seq: seq}
-}
-
-func (r *reader) oids() []core.OID {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
+// readList decodes what appendList encodes; an empty list decodes as
+// nil.
+func readList[T any](r *reader, read func(*reader) T) []T {
+	n := r.count()
+	if n == 0 {
 		return nil
 	}
-	if n > uint64(len(r.data)-r.pos) { // each OID takes ≥ 2 bytes; cheap sanity bound
-		r.fail()
-		return nil
-	}
-	out := make([]core.OID, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		out = append(out, r.oid())
+	out := make([]T, n)
+	for i := range out {
+		out[i] = read(r)
 	}
 	return out
 }
 
-func (r *reader) snapshotBody(s *Snapshot) {
-	s.ID = r.oid()
-	s.Type = r.str()
-	s.State = r.byteSlice()
-	s.Pol.Fixed = r.bool()
-	s.Pol.Lock.Held = r.bool()
-	s.Pol.Lock.Owner = core.NodeID(r.str())
-	s.Pol.Lock.Block = core.BlockID(r.uvarint())
-	if n := r.uvarint(); n > 0 && r.err == nil {
-		if n > uint64(len(r.data)-r.pos) { // each entry takes ≥ 2 bytes
-			r.fail()
-			return
-		}
-		s.Pol.OpenMoves = make(map[core.NodeID]int, n)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			k := core.NodeID(r.str())
-			s.Pol.OpenMoves[k] = int(r.varint())
-		}
-	}
-	if n := r.uvarint(); n > 0 && r.err == nil {
-		if n > uint64(len(r.data)-r.pos) {
-			r.fail()
-			return
-		}
-		s.Edges = make([]EdgeRec, 0, n)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			var e EdgeRec
-			e.Other = r.oid()
-			e.Alliance = core.AllianceID(r.uvarint())
-			s.Edges = append(s.Edges, e)
-		}
-	}
-	s.Gen = r.uvarint()
+// The element readers below build composite literals; Go evaluates the
+// calls in them left to right, which is the order fields are encoded.
+
+func (r *reader) oid() core.OID { return core.OID{Origin: core.NodeID(r.str()), Seq: r.uvarint()} }
+
+func (r *reader) edge() EdgeRec {
+	return EdgeRec{Other: r.oid(), Alliance: core.AllianceID(r.uvarint())}
 }
 
-func (r *reader) uvarints() []uint64 {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.pos) { // each value takes ≥ 1 byte
-		r.fail()
-		return nil
-	}
-	out := make([]uint64, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		out = append(out, r.uvarint())
-	}
-	return out
+func (r *reader) affinity() AffinityObs {
+	return AffinityObs{Obj: r.oid(), From: core.NodeID(r.str()), Count: r.varint()}
 }
 
-func (r *reader) closureLocs() []ClosureLoc {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.pos) { // each entry takes ≥ 4 bytes
-		r.fail()
-		return nil
-	}
-	out := make([]ClosureLoc, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		var cl ClosureLoc
-		cl.Anchor = r.oid()
-		cl.Gen = r.uvarint()
-		cl.Members = r.oids()
-		out = append(out, cl)
-	}
-	return out
+func (r *reader) closure() ClosureLoc {
+	return ClosureLoc{Anchor: r.oid(), Gen: r.uvarint(), Members: readList(r, (*reader).oid)}
 }
 
-func (r *reader) nodeLoad(l *NodeLoad) {
+func (r *reader) unit() InventoryUnit {
+	return InventoryUnit{Anchor: r.oid(), Bytes: r.varint(), Pressure: r.varint()}
+}
+
+func (r *reader) nodeLoad() (l NodeLoad) {
 	l.Node = core.NodeID(r.str())
 	l.Objects = r.varint()
 	l.Bytes = r.varint()
@@ -612,221 +378,450 @@ func (r *reader) nodeLoad(l *NodeLoad) {
 	l.Capacity = r.varint()
 	l.CapBytes = r.varint()
 	l.Seq = r.uvarint()
-	l.Health = uint8(r.uvarint())
+	if h := r.uvarint(); h <= math.MaxUint8 {
+		l.Health = uint8(h)
+	} else {
+		r.fail("health %d out of range", h)
+	}
+	return l
 }
 
 // optNodeLoad decodes a presence-flagged load sample (nil when absent).
 func (r *reader) optNodeLoad() *NodeLoad {
-	if !r.bool() || r.err != nil {
+	if !r.bool() {
 		return nil
 	}
-	l := new(NodeLoad)
-	r.nodeLoad(l)
-	return l
+	l := r.nodeLoad()
+	return &l
 }
 
-func (r *reader) affinityObs() []AffinityObs {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
+func (r *reader) snapshot() (s Snapshot) {
+	s.ID = r.oid()
+	s.Type = r.str()
+	s.State = r.byteSlice()
+	s.Pol.Fixed = r.bool()
+	s.Pol.Lock.Held = r.bool()
+	s.Pol.Lock.Owner = core.NodeID(r.str())
+	s.Pol.Lock.Block = core.BlockID(r.uvarint())
+	if n := r.count(); n > 0 {
+		s.Pol.OpenMoves = make(map[core.NodeID]int, n)
+		for i := 0; i < n; i++ {
+			k := core.NodeID(r.str())
+			s.Pol.OpenMoves[k] = int(r.varint())
+		}
 	}
-	if n > uint64(len(r.data)-r.pos) { // each entry takes ≥ 4 bytes
-		r.fail()
-		return nil
-	}
-	out := make([]AffinityObs, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		var o AffinityObs
-		o.Obj = r.oid()
-		o.From = core.NodeID(r.str())
-		o.Count = r.varint()
-		out = append(out, o)
-	}
-	return out
+	s.Edges = readList(r, (*reader).edge)
+	s.Gen = r.uvarint()
+	return s
 }
 
-func (r *reader) snapshots() []Snapshot {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.pos) {
-		r.fail()
-		return nil
-	}
-	out := make([]Snapshot, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		r.snapshotBody(&out[i])
-	}
-	return out
+// --- Bodies, in tag order ---
+
+func (m InvokeReq) appendTo(b []byte) []byte {
+	b = append(grow(b, 32+len(m.Obj.Origin)+len(m.Method)+len(m.Arg)+len(m.From)), tagInvokeReq)
+	b = appendOID(b, m.Obj)
+	b = appendStr(b, m.Method)
+	b = appendByteSlice(b, m.Arg)
+	return appendStr(b, string(m.From))
 }
 
-// unmarshalFast decodes a fast-path body whose tag has been stripped.
-func unmarshalFast(tag byte, data []byte, v interface{}) error {
-	r := &reader{data: data}
-	switch out := v.(type) {
-	case *InvokeReq:
-		if tag != tagInvokeReq {
-			return tagMismatch(tag, v)
-		}
-		out.Obj = r.oid()
-		out.Method = r.str()
-		out.Arg = r.byteSlice()
-		out.From = core.NodeID(r.str())
-	case *InvokeResp:
-		if tag != tagInvokeResp {
-			return tagMismatch(tag, v)
-		}
-		out.Result = r.byteSlice()
-		out.At = core.NodeID(r.str())
-	case *LocateReq:
-		if tag != tagLocateReq {
-			return tagMismatch(tag, v)
-		}
-		out.Obj = r.oid()
-	case *LocateResp:
-		if tag != tagLocateResp {
-			return tagMismatch(tag, v)
-		}
-		out.At = core.NodeID(r.str())
-	case *HomeUpdate:
-		if tag != tagHomeUpdate {
-			return tagMismatch(tag, v)
-		}
-		out.Objs = r.oids()
-		out.At = core.NodeID(r.str())
-		out.Aff = r.affinityObs()
-		out.Load = r.optNodeLoad()
-		out.Gens = r.uvarints()
-		out.Closures = r.closureLocs()
-		out.Trace = r.uvarint()
-	case *HomeUpdateResp:
-		if tag != tagHomeUpdateResp {
-			return tagMismatch(tag, v)
-		}
-		out.Load = r.optNodeLoad()
-	case *Snapshot:
-		if tag != tagSnapshot {
-			return tagMismatch(tag, v)
-		}
-		r.snapshotBody(out)
-	case *PauseResp:
-		if tag != tagPauseResp {
-			return tagMismatch(tag, v)
-		}
-		out.Snapshots = r.snapshots()
-		out.Pending = r.oids()
-	case *MoveReq:
-		if tag != tagMoveReq {
-			return tagMismatch(tag, v)
-		}
-		out.Obj = r.oid()
-		out.From = core.NodeID(r.str())
-		out.Block = core.BlockID(r.uvarint())
-		out.Alliance = core.AllianceID(r.uvarint())
-	case *MoveResp:
-		if tag != tagMoveResp {
-			return tagMismatch(tag, v)
-		}
-		out.Outcome = MoveOutcome(r.varint())
-		out.Reason = core.DenyReason(r.varint())
-		out.At = core.NodeID(r.str())
-		out.Moved = r.oids()
-	case *EndReq:
-		if tag != tagEndReq {
-			return tagMismatch(tag, v)
-		}
-		out.Obj = r.oid()
-		out.From = core.NodeID(r.str())
-		out.Block = core.BlockID(r.uvarint())
-		out.Alliance = core.AllianceID(r.uvarint())
-		out.Members = r.oids()
-	case *EndResp:
-		if tag != tagEndResp {
-			return tagMismatch(tag, v)
-		}
-		out.Unlocked = r.bool()
-		out.Migrated = r.bool()
-		out.At = core.NodeID(r.str())
-	case *MigrateReq:
-		if tag != tagMigrateReq {
-			return tagMismatch(tag, v)
-		}
-		out.Obj = r.oid()
-		out.Target = core.NodeID(r.str())
-		out.Alliance = core.AllianceID(r.uvarint())
-		out.Fix = r.bool()
-	case *MigrateResp:
-		if tag != tagMigrateResp {
-			return tagMismatch(tag, v)
-		}
-		out.At = core.NodeID(r.str())
-		out.Moved = r.oids()
-	case *MigrateBeginReq:
-		if tag != tagMigrateBeginReq {
-			return tagMismatch(tag, v)
-		}
-		out.Token = r.uvarint()
-		out.From = core.NodeID(r.str())
-		out.Objs = r.oids()
-		out.Bytes = r.varint()
-		out.Trace = r.uvarint()
-		out.Snapshots = r.snapshots()
-		out.Commit = r.bool()
-	case *MigrateBeginResp:
-		if tag != tagMigrateBeginResp {
-			return tagMismatch(tag, v)
-		}
-		out.Reserved = r.bool()
-		out.ReservedBytes = r.varint()
-	case *InstallChunkReq:
-		if tag != tagInstallChunkReq {
-			return tagMismatch(tag, v)
-		}
-		out.Token = r.uvarint()
-		out.From = core.NodeID(r.str())
-		out.Seq = r.uvarint()
-		out.Snapshots = r.snapshots()
-		out.Trace = r.uvarint()
-	case *InstallChunkResp:
-		if tag != tagInstallChunkResp {
-			return tagMismatch(tag, v)
-		}
-		out.Staged = int(r.varint())
-	case *InstallCommitReq:
-		if tag != tagInstallCommitReq {
-			return tagMismatch(tag, v)
-		}
-		out.Token = r.uvarint()
-		out.From = core.NodeID(r.str())
-		out.Trace = r.uvarint()
-	case *InstallCommitResp:
-		if tag != tagInstallCommitResp {
-			return tagMismatch(tag, v)
-		}
-		out.Installed = int(r.varint())
-	case *LoadGossipReq:
-		if tag != tagLoadGossipReq {
-			return tagMismatch(tag, v)
-		}
-		r.nodeLoad(&out.Load)
-	case *LoadGossipResp:
-		if tag != tagLoadGossipResp {
-			return tagMismatch(tag, v)
-		}
-		r.nodeLoad(&out.Load)
-	default:
-		return fmt.Errorf("wire: unmarshal %T: unrecognised body (tag %d)", v, tag)
-	}
-	if r.err != nil {
-		return fmt.Errorf("wire: unmarshal %T: %w", v, r.err)
-	}
-	if r.pos != len(r.data) {
-		return fmt.Errorf("wire: unmarshal %T: %d trailing bytes", v, len(r.data)-r.pos)
-	}
-	return nil
+func (m *InvokeReq) decodeFrom(r *reader) {
+	m.Obj = r.expect(tagInvokeReq).oid()
+	m.Method = r.str()
+	m.Arg = r.byteSlice()
+	m.From = core.NodeID(r.str())
 }
 
-func tagMismatch(tag byte, v interface{}) error {
-	return fmt.Errorf("wire: unmarshal %T: body carries tag %d", v, tag)
+func (m InvokeResp) appendTo(b []byte) []byte {
+	b = append(grow(b, 16+len(m.Result)+len(m.At)), tagInvokeResp)
+	b = appendByteSlice(b, m.Result)
+	return appendStr(b, string(m.At))
+}
+
+func (m *InvokeResp) decodeFrom(r *reader) {
+	m.Result = r.expect(tagInvokeResp).byteSlice()
+	m.At = core.NodeID(r.str())
+}
+
+func (m LocateReq) appendTo(b []byte) []byte { return appendOID(append(b, tagLocateReq), m.Obj) }
+func (m *LocateReq) decodeFrom(r *reader)    { m.Obj = r.expect(tagLocateReq).oid() }
+
+func (m LocateResp) appendTo(b []byte) []byte {
+	return appendStr(append(b, tagLocateResp), string(m.At))
+}
+
+func (m *LocateResp) decodeFrom(r *reader) { m.At = core.NodeID(r.expect(tagLocateResp).str()) }
+
+func (m HomeUpdate) appendTo(b []byte) []byte {
+	hint := 32 + oidsSize(m.Objs) + len(m.At) + loadSize(m.Load) + 10*len(m.Gens)
+	for _, o := range m.Aff {
+		hint += 24 + len(o.Obj.Origin) + len(o.From)
+	}
+	for _, cl := range m.Closures {
+		hint += 24 + len(cl.Anchor.Origin) + oidsSize(cl.Members)
+	}
+	b = append(grow(b, hint), tagHomeUpdate)
+	b = appendList(b, m.Objs, appendOID)
+	b = appendStr(b, string(m.At))
+	b = appendList(b, m.Aff, appendAffinity)
+	b = appendOptLoad(b, m.Load)
+	b = appendList(b, m.Gens, appendUvarint)
+	b = appendList(b, m.Closures, appendClosure)
+	return appendUvarint(b, m.Trace)
+}
+
+func (m *HomeUpdate) decodeFrom(r *reader) {
+	m.Objs = readList(r.expect(tagHomeUpdate), (*reader).oid)
+	m.At = core.NodeID(r.str())
+	m.Aff = readList(r, (*reader).affinity)
+	m.Load = r.optNodeLoad()
+	m.Gens = readList(r, (*reader).uvarint)
+	m.Closures = readList(r, (*reader).closure)
+	m.Trace = r.uvarint()
+}
+
+func (m HomeUpdateResp) appendTo(b []byte) []byte {
+	return appendOptLoad(append(grow(b, 2+loadSize(m.Load)), tagHomeUpdateResp), m.Load)
+}
+
+func (m *HomeUpdateResp) decodeFrom(r *reader) { m.Load = r.expect(tagHomeUpdateResp).optNodeLoad() }
+
+func (s Snapshot) appendTo(b []byte) []byte {
+	return appendSnapshot(append(grow(b, 1+SnapshotSize(&s)), tagSnapshot), s)
+}
+
+func (s *Snapshot) decodeFrom(r *reader) { *s = r.expect(tagSnapshot).snapshot() }
+
+func (m PauseResp) appendTo(b []byte) []byte {
+	b = append(grow(b, 16+snapshotsSize(m.Snapshots)+oidsSize(m.Pending)), tagPauseResp)
+	b = appendList(b, m.Snapshots, appendSnapshot)
+	return appendList(b, m.Pending, appendOID)
+}
+
+func (m *PauseResp) decodeFrom(r *reader) {
+	m.Snapshots = readList(r.expect(tagPauseResp), (*reader).snapshot)
+	m.Pending = readList(r, (*reader).oid)
+}
+
+func (m MoveReq) appendTo(b []byte) []byte {
+	b = appendOID(append(b, tagMoveReq), m.Obj)
+	b = appendStr(b, string(m.From))
+	b = appendUvarint(b, uint64(m.Block))
+	return appendUvarint(b, uint64(m.Alliance))
+}
+
+func (m *MoveReq) decodeFrom(r *reader) {
+	m.Obj = r.expect(tagMoveReq).oid()
+	m.From = core.NodeID(r.str())
+	m.Block = core.BlockID(r.uvarint())
+	m.Alliance = core.AllianceID(r.uvarint())
+}
+
+func (m MoveResp) appendTo(b []byte) []byte {
+	b = appendVarint(append(b, tagMoveResp), int64(m.Outcome))
+	b = appendVarint(b, int64(m.Reason))
+	b = appendStr(b, string(m.At))
+	return appendList(b, m.Moved, appendOID)
+}
+
+func (m *MoveResp) decodeFrom(r *reader) {
+	m.Outcome = MoveOutcome(r.expect(tagMoveResp).varint())
+	m.Reason = core.DenyReason(r.varint())
+	m.At = core.NodeID(r.str())
+	m.Moved = readList(r, (*reader).oid)
+}
+
+func (m EndReq) appendTo(b []byte) []byte {
+	b = appendOID(append(b, tagEndReq), m.Obj)
+	b = appendStr(b, string(m.From))
+	b = appendUvarint(b, uint64(m.Block))
+	b = appendUvarint(b, uint64(m.Alliance))
+	return appendList(b, m.Members, appendOID)
+}
+
+func (m *EndReq) decodeFrom(r *reader) {
+	m.Obj = r.expect(tagEndReq).oid()
+	m.From = core.NodeID(r.str())
+	m.Block = core.BlockID(r.uvarint())
+	m.Alliance = core.AllianceID(r.uvarint())
+	m.Members = readList(r, (*reader).oid)
+}
+
+func (m EndResp) appendTo(b []byte) []byte {
+	b = appendBool(append(b, tagEndResp), m.Unlocked)
+	b = appendBool(b, m.Migrated)
+	return appendStr(b, string(m.At))
+}
+
+func (m *EndResp) decodeFrom(r *reader) {
+	m.Unlocked = r.expect(tagEndResp).bool()
+	m.Migrated = r.bool()
+	m.At = core.NodeID(r.str())
+}
+
+func (m MigrateReq) appendTo(b []byte) []byte {
+	b = appendOID(append(b, tagMigrateReq), m.Obj)
+	b = appendStr(b, string(m.Target))
+	b = appendUvarint(b, uint64(m.Alliance))
+	return appendBool(b, m.Fix)
+}
+
+func (m *MigrateReq) decodeFrom(r *reader) {
+	m.Obj = r.expect(tagMigrateReq).oid()
+	m.Target = core.NodeID(r.str())
+	m.Alliance = core.AllianceID(r.uvarint())
+	m.Fix = r.bool()
+}
+
+func (m MigrateResp) appendTo(b []byte) []byte {
+	b = appendStr(append(b, tagMigrateResp), string(m.At))
+	return appendList(b, m.Moved, appendOID)
+}
+
+func (m *MigrateResp) decodeFrom(r *reader) {
+	m.At = core.NodeID(r.expect(tagMigrateResp).str())
+	m.Moved = readList(r, (*reader).oid)
+}
+
+func (m MigrateBeginReq) appendTo(b []byte) []byte {
+	b = append(grow(b, 56+len(m.From)+oidsSize(m.Objs)+snapshotsSize(m.Snapshots)), tagMigrateBeginReq)
+	b = appendUvarint(b, m.Token)
+	b = appendStr(b, string(m.From))
+	b = appendList(b, m.Objs, appendOID)
+	b = appendVarint(b, m.Bytes)
+	b = appendUvarint(b, m.Trace)
+	b = appendList(b, m.Snapshots, appendSnapshot)
+	return appendBool(b, m.Commit)
+}
+
+func (m *MigrateBeginReq) decodeFrom(r *reader) {
+	m.Token = r.expect(tagMigrateBeginReq).uvarint()
+	m.From = core.NodeID(r.str())
+	m.Objs = readList(r, (*reader).oid)
+	m.Bytes = r.varint()
+	m.Trace = r.uvarint()
+	m.Snapshots = readList(r, (*reader).snapshot)
+	m.Commit = r.bool()
+}
+
+func (m MigrateBeginResp) appendTo(b []byte) []byte {
+	b = appendBool(append(grow(b, 12), tagMigrateBeginResp), m.Reserved)
+	return appendVarint(b, m.ReservedBytes)
+}
+
+func (m *MigrateBeginResp) decodeFrom(r *reader) {
+	m.Reserved = r.expect(tagMigrateBeginResp).bool()
+	m.ReservedBytes = r.varint()
+}
+
+func (m InstallChunkReq) appendTo(b []byte) []byte {
+	b = append(grow(b, 42+len(m.From)+snapshotsSize(m.Snapshots)), tagInstallChunkReq)
+	b = appendUvarint(b, m.Token)
+	b = appendStr(b, string(m.From))
+	b = appendUvarint(b, m.Seq)
+	b = appendList(b, m.Snapshots, appendSnapshot)
+	return appendUvarint(b, m.Trace)
+}
+
+func (m *InstallChunkReq) decodeFrom(r *reader) {
+	m.Token = r.expect(tagInstallChunkReq).uvarint()
+	m.From = core.NodeID(r.str())
+	m.Seq = r.uvarint()
+	m.Snapshots = readList(r, (*reader).snapshot)
+	m.Trace = r.uvarint()
+}
+
+func (m InstallChunkResp) appendTo(b []byte) []byte {
+	return appendVarint(append(b, tagInstallChunkResp), int64(m.Staged))
+}
+
+func (m *InstallChunkResp) decodeFrom(r *reader) {
+	m.Staged = int(r.expect(tagInstallChunkResp).varint())
+}
+
+func (m InstallCommitReq) appendTo(b []byte) []byte {
+	b = appendUvarint(append(b, tagInstallCommitReq), m.Token)
+	b = appendStr(b, string(m.From))
+	return appendUvarint(b, m.Trace)
+}
+
+func (m *InstallCommitReq) decodeFrom(r *reader) {
+	m.Token = r.expect(tagInstallCommitReq).uvarint()
+	m.From = core.NodeID(r.str())
+	m.Trace = r.uvarint()
+}
+
+func (m InstallCommitResp) appendTo(b []byte) []byte {
+	return appendVarint(append(b, tagInstallCommitResp), int64(m.Installed))
+}
+
+func (m *InstallCommitResp) decodeFrom(r *reader) {
+	m.Installed = int(r.expect(tagInstallCommitResp).varint())
+}
+
+func (m LoadGossipReq) appendTo(b []byte) []byte {
+	return appendNodeLoad(append(grow(b, 1+loadSize(&m.Load)), tagLoadGossipReq), &m.Load)
+}
+
+func (m *LoadGossipReq) decodeFrom(r *reader) { m.Load = r.expect(tagLoadGossipReq).nodeLoad() }
+
+func (m LoadGossipResp) appendTo(b []byte) []byte {
+	return appendNodeLoad(append(grow(b, 1+loadSize(&m.Load)), tagLoadGossipResp), &m.Load)
+}
+
+func (m *LoadGossipResp) decodeFrom(r *reader) { m.Load = r.expect(tagLoadGossipResp).nodeLoad() }
+
+func (m PauseReq) appendTo(b []byte) []byte {
+	b = append(grow(b, 48+oidsSize(m.Objs)+len(m.From)+len(m.Target)), tagPauseReq)
+	b = appendList(b, m.Objs, appendOID)
+	b = appendUvarint(b, m.Token)
+	b = appendVarint(b, m.MaxBytes)
+	b = appendVarint(b, int64(m.Lease))
+	b = appendStr(b, string(m.From))
+	b = appendStr(b, string(m.Target))
+	return appendUvarint(b, m.Trace)
+}
+
+func (m *PauseReq) decodeFrom(r *reader) {
+	m.Objs = readList(r.expect(tagPauseReq), (*reader).oid)
+	m.Token = r.uvarint()
+	m.MaxBytes = r.varint()
+	m.Lease = time.Duration(r.varint())
+	m.From = core.NodeID(r.str())
+	m.Target = core.NodeID(r.str())
+	m.Trace = r.uvarint()
+}
+
+func (m CommitReq) appendTo(b []byte) []byte {
+	b = append(grow(b, 48+oidsSize(m.Objs)+10*len(m.Gens)+len(m.NewHome)+len(m.From)), tagCommitReq)
+	b = appendList(b, m.Objs, appendOID)
+	b = appendStr(b, string(m.NewHome))
+	b = appendUvarint(b, m.Token)
+	b = appendStr(b, string(m.From))
+	b = appendList(b, m.Gens, appendUvarint)
+	b = appendOID(b, m.Anchor)
+	return appendUvarint(b, m.Trace)
+}
+
+func (m *CommitReq) decodeFrom(r *reader) {
+	m.Objs = readList(r.expect(tagCommitReq), (*reader).oid)
+	m.NewHome = core.NodeID(r.str())
+	m.Token = r.uvarint()
+	m.From = core.NodeID(r.str())
+	m.Gens = readList(r, (*reader).uvarint)
+	m.Anchor = r.oid()
+	m.Trace = r.uvarint()
+}
+
+func (CommitResp) appendTo(b []byte) []byte { return append(b, tagCommitResp) }
+func (*CommitResp) decodeFrom(r *reader)    { r.expect(tagCommitResp) }
+
+func (m AbortReq) appendTo(b []byte) []byte {
+	b = append(grow(b, 24+oidsSize(m.Objs)+len(m.From)), tagAbortReq)
+	b = appendList(b, m.Objs, appendOID)
+	b = appendUvarint(b, m.Token)
+	return appendStr(b, string(m.From))
+}
+
+func (m *AbortReq) decodeFrom(r *reader) {
+	m.Objs = readList(r.expect(tagAbortReq), (*reader).oid)
+	m.Token = r.uvarint()
+	m.From = core.NodeID(r.str())
+}
+
+func (AbortResp) appendTo(b []byte) []byte { return append(b, tagAbortResp) }
+func (*AbortResp) decodeFrom(r *reader)    { r.expect(tagAbortResp) }
+
+func (m InventoryReq) appendTo(b []byte) []byte {
+	return appendVarint(append(b, tagInventoryReq), m.MaxUnits)
+}
+
+func (m *InventoryReq) decodeFrom(r *reader) { m.MaxUnits = r.expect(tagInventoryReq).varint() }
+
+func (m InventoryResp) appendTo(b []byte) []byte {
+	b = append(grow(b, 1+loadSize(&m.Load)+32*len(m.Units)), tagInventoryResp)
+	b = appendList(b, m.Units, appendUnit)
+	return appendNodeLoad(b, &m.Load)
+}
+
+func (m *InventoryResp) decodeFrom(r *reader) {
+	m.Units = readList(r.expect(tagInventoryResp), (*reader).unit)
+	m.Load = r.nodeLoad()
+}
+
+func (m EdgeAddReq) appendTo(b []byte) []byte {
+	b = appendOID(append(b, tagEdgeAddReq), m.Obj)
+	b = appendOID(b, m.Other)
+	b = appendUvarint(b, uint64(m.Alliance))
+	return appendVarint(b, int64(m.Mode))
+}
+
+func (m *EdgeAddReq) decodeFrom(r *reader) {
+	m.Obj = r.expect(tagEdgeAddReq).oid()
+	m.Other = r.oid()
+	m.Alliance = core.AllianceID(r.uvarint())
+	m.Mode = core.AttachMode(r.varint())
+}
+
+func (EdgeAddResp) appendTo(b []byte) []byte { return append(b, tagEdgeAddResp) }
+func (*EdgeAddResp) decodeFrom(r *reader)    { r.expect(tagEdgeAddResp) }
+
+func (m EdgeDelReq) appendTo(b []byte) []byte {
+	b = appendOID(append(b, tagEdgeDelReq), m.Obj)
+	b = appendOID(b, m.Other)
+	return appendUvarint(b, uint64(m.Alliance))
+}
+
+func (m *EdgeDelReq) decodeFrom(r *reader) {
+	m.Obj = r.expect(tagEdgeDelReq).oid()
+	m.Other = r.oid()
+	m.Alliance = core.AllianceID(r.uvarint())
+}
+
+func (m EdgeDelResp) appendTo(b []byte) []byte {
+	return appendBool(append(b, tagEdgeDelResp), m.Existed)
+}
+
+func (m *EdgeDelResp) decodeFrom(r *reader) { m.Existed = r.expect(tagEdgeDelResp).bool() }
+
+func (m EdgesReq) appendTo(b []byte) []byte { return appendOID(append(b, tagEdgesReq), m.Obj) }
+func (m *EdgesReq) decodeFrom(r *reader)    { m.Obj = r.expect(tagEdgesReq).oid() }
+
+func (m EdgesResp) appendTo(b []byte) []byte {
+	return appendList(append(b, tagEdgesResp), m.Edges, appendEdge)
+}
+
+func (m *EdgesResp) decodeFrom(r *reader) { m.Edges = readList(r.expect(tagEdgesResp), (*reader).edge) }
+
+func (m FixReq) appendTo(b []byte) []byte {
+	b = appendOID(append(b, tagFixReq), m.Obj)
+	b = appendBool(b, m.Fix)
+	return appendBool(b, m.Query)
+}
+
+func (m *FixReq) decodeFrom(r *reader) {
+	m.Obj = r.expect(tagFixReq).oid()
+	m.Fix = r.bool()
+	m.Query = r.bool()
+}
+
+func (m FixResp) appendTo(b []byte) []byte { return appendBool(append(b, tagFixResp), m.Fixed) }
+func (m *FixResp) decodeFrom(r *reader)    { m.Fixed = r.expect(tagFixResp).bool() }
+
+func (m PingReq) appendTo(b []byte) []byte { return appendStr(append(b, tagPingReq), m.Payload) }
+func (m *PingReq) decodeFrom(r *reader)    { m.Payload = r.expect(tagPingReq).str() }
+
+func (m PingResp) appendTo(b []byte) []byte { return appendStr(append(b, tagPingResp), m.Payload) }
+func (m *PingResp) decodeFrom(r *reader)    { m.Payload = r.expect(tagPingResp).str() }
+
+func (e RemoteError) appendTo(b []byte) []byte {
+	b = appendVarint(append(grow(b, 24+len(e.Msg)+len(e.To)), tagRemoteError), int64(e.Code))
+	b = appendStr(b, e.Msg)
+	return appendStr(b, string(e.To))
+}
+
+func (e *RemoteError) decodeFrom(r *reader) {
+	e.Code = ErrCode(r.expect(tagRemoteError).varint())
+	e.Msg = r.str()
+	e.To = core.NodeID(r.str())
 }

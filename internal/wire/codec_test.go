@@ -1,13 +1,17 @@
 package wire
 
 import (
+	"fmt"
+	"os"
 	"reflect"
+	"regexp"
 	"testing"
+	"time"
 
 	"objmig/internal/core"
 )
 
-// fastBodies is one populated specimen per fast-path type (pointer
+// fastBodies is one populated specimen of every body type (pointer
 // form, as the rpc layer passes them).
 func fastBodies() []interface{} {
 	oid1 := core.OID{Origin: "n1", Seq: 42}
@@ -59,6 +63,24 @@ func fastBodies() []interface{} {
 		&EndResp{Unlocked: true, Migrated: true, At: "n9"},
 		&MigrateReq{Obj: oid2, Target: "n5", Alliance: 1, Fix: true},
 		&MigrateResp{At: "n5", Moved: []core.OID{oid2}},
+		&PauseReq{Objs: []core.OID{oid1, oid2}, Token: 99, MaxBytes: 1 << 20, Lease: 30 * time.Second, From: "n1", Target: "n2", Trace: 77},
+		&CommitReq{Objs: []core.OID{oid1, oid2}, NewHome: "n2", Token: 99, From: "n1", Gens: []uint64{3, 9}, Anchor: oid1, Trace: 77},
+		&CommitResp{},
+		&AbortReq{Objs: []core.OID{oid1}, Token: 99, From: "n1"},
+		&AbortResp{},
+		&InventoryReq{MaxUnits: 64},
+		&InventoryResp{Units: []InventoryUnit{{Anchor: oid1, Bytes: 4096, Pressure: 12}, {Anchor: oid2}}, Load: load},
+		&EdgeAddReq{Obj: oid1, Other: oid2, Alliance: 5, Mode: core.AttachExclusive},
+		&EdgeAddResp{},
+		&EdgeDelReq{Obj: oid1, Other: oid2, Alliance: 5},
+		&EdgeDelResp{Existed: true},
+		&EdgesReq{Obj: oid1},
+		&EdgesResp{Edges: []EdgeRec{{Other: oid2, Alliance: 3}}},
+		&FixReq{Obj: oid1, Fix: true, Query: true},
+		&FixResp{Fixed: true},
+		&PingReq{Payload: "hello"},
+		&PingResp{Payload: "hello"},
+		&RemoteError{Code: CodeMoved, Msg: "object n1/42 moved", To: "n3"},
 	}
 }
 
@@ -158,6 +180,23 @@ func TestFastPathRejectsCorruption(t *testing.T) {
 			t.Fatalf("%T accepted trailing garbage", in)
 		}
 	}
+	// Narrow fields decode strictly: a bool is one byte, 0 or 1, and a
+	// health state above 255 is refused rather than wrapped to 0
+	// (healthy).
+	end, _ := Marshal(&EndResp{Unlocked: true, At: "n"})
+	load, _ := Marshal(&LoadGossipReq{Load: NodeLoad{Node: "n", Health: 2}})
+	for _, c := range []struct {
+		data []byte
+		out  interface{}
+	}{
+		{append([]byte{end[0], 0x05}, end[2:]...), new(EndResp)},
+		{append([]byte{end[0], 0x80, 0x01}, end[2:]...), new(EndResp)},
+		{append(load[:len(load)-1:len(load)-1], 0x80, 0x02), new(LoadGossipReq)},
+	} {
+		if err := Unmarshal(c.data, c.out); err == nil {
+			t.Errorf("%T accepted corrupt body %x", c.out, c.data)
+		}
+	}
 }
 
 // TestTagMismatch: a body of one kind must not decode into another.
@@ -170,32 +209,6 @@ func TestTagMismatch(t *testing.T) {
 	var wrong InvokeReq
 	if err := Unmarshal(data, &wrong); err == nil {
 		t.Fatal("locate body decoded as invoke request")
-	}
-}
-
-// TestGobFallbackStillWorks: a non-fast-path body travels via the
-// pooled gob layer and round-trips.
-func TestGobFallbackStillWorks(t *testing.T) {
-	t.Parallel()
-	in := &EdgeAddReq{
-		Obj:      core.OID{Origin: "n", Seq: 3},
-		Other:    core.OID{Origin: "n2", Seq: 4},
-		Alliance: 5,
-		Mode:     core.AttachExclusive,
-	}
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[0] != tagGob {
-		t.Fatalf("EdgeAddReq took tag %d, want gob fallback", data[0])
-	}
-	var out EdgeAddReq
-	if err := Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*in, out) {
-		t.Fatalf("gob round trip: %+v != %+v", out, *in)
 	}
 }
 
@@ -228,13 +241,13 @@ func TestSnapshotDeterministicEncoding(t *testing.T) {
 
 // TestMarshalAppendPrefix: MarshalAppend must extend dst in place,
 // leaving the existing prefix intact, and the appended bytes must
-// equal a fresh Marshal of the same body — for fast-path and gob
-// bodies alike. This is the contract internal/rpc relies on when it
-// reserves a frame header and hands the codec the tail.
+// equal a fresh Marshal of the same body — for every body. This is
+// the contract internal/rpc relies on when it reserves a frame header
+// and hands the codec the tail.
 func TestMarshalAppendPrefix(t *testing.T) {
 	t.Parallel()
 	bodies := append(fastBodies(),
-		&EdgeAddReq{Obj: core.OID{Origin: "n", Seq: 3}, Other: core.OID{Origin: "n2", Seq: 4}}, // gob fallback
+		&EdgeAddReq{Obj: core.OID{Origin: "n", Seq: 3}, Other: core.OID{Origin: "n2", Seq: 4}}, // zero alliance and mode
 	)
 	for _, in := range bodies {
 		fresh, err := Marshal(in)
@@ -277,11 +290,37 @@ func TestMarshalAppendReusesCapacity(t *testing.T) {
 func TestMarshalAppendErrorLeavesDst(t *testing.T) {
 	t.Parallel()
 	dst := []byte{1, 2, 3}
-	out, err := MarshalAppend(dst, make(chan int)) // gob cannot encode channels
+	out, err := MarshalAppend(dst, make(chan int)) // a channel is not a message body
 	if err == nil {
 		t.Fatal("encoding a channel succeeded")
 	}
 	if !reflect.DeepEqual(out, []byte{1, 2, 3}) {
 		t.Fatalf("failed encode left dst = %v", out)
+	}
+}
+
+// TestWireFormatDocListsEveryTag: docs/wire-format.md must list every
+// body under the tag the codec writes for it, and no two bodies may
+// share a tag.
+func TestWireFormatDocListsEveryTag(t *testing.T) {
+	t.Parallel()
+	doc, err := os.ReadFile("../../docs/wire-format.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[byte]string{}
+	for _, zero := range bodyTypes {
+		data, err := Marshal(zero)
+		if err != nil {
+			t.Fatalf("marshal %T: %v", zero, err)
+		}
+		tag, name := data[0], reflect.TypeOf(zero).Elem().Name()
+		if prev, dup := seen[tag]; dup {
+			t.Errorf("%s and %s share tag %d", prev, name, tag)
+		}
+		seen[tag] = name
+		if !regexp.MustCompile(fmt.Sprintf("(?m)^\\| %d \\| `%s` \\|", tag, name)).Match(doc) {
+			t.Errorf("docs/wire-format.md lists no row \"| %d | `%s` |\"", tag, name)
+		}
 	}
 }

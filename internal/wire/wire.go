@@ -1,10 +1,9 @@
 // Package wire defines the message vocabulary of the live runtime —
 // the request and response bodies exchanged between nodes and the
-// error representation that crosses the wire — together with the
-// append-style codec that puts them on the wire: a hand-rolled binary
-// fast path for the high-frequency bodies and a gob fallback for the
-// rest, both encoding directly into the caller's buffer
-// (MarshalAppend) so a message becomes exactly one copy in exactly one
+// error representation that crosses the wire — together with the one
+// codec that puts them on the wire. Every body encodes itself under its
+// own tag as varint-framed fields, directly into the caller's buffer
+// (MarshalAppend), so a message becomes exactly one copy in exactly one
 // frame.
 //
 // Objects are linearised for transfer exactly as the paper's system
@@ -78,48 +77,57 @@ func (k Kind) String() string {
 // Valid reports whether k is a known kind.
 func (k Kind) Valid() bool { return k >= KInvoke && k < kMax }
 
-// Marshal encodes a message body into a fresh buffer: a hand-rolled
-// binary fast path for the high-frequency bodies (invoke, locate,
-// home-update, snapshots and the migration control bodies), gob for
-// the rest. Prefer MarshalAppend on hot paths — it writes into a
-// caller-supplied buffer instead of allocating one per message.
+// Marshal encodes a message body into a fresh buffer. Prefer
+// MarshalAppend on hot paths — it writes into a caller-supplied buffer
+// instead of allocating one per message.
 func Marshal(v interface{}) ([]byte, error) {
 	return MarshalAppend(nil, v)
 }
 
-// MarshalAppend appends the encoding of a message body to dst and
-// returns the extended slice, growing it as needed (like append, the
-// result may share dst's backing array or be a reallocation — always
-// use the returned slice). The message is encoded exactly once, in
-// place: fast-path bodies append their fields directly, the gob
-// fallback streams into the tail. This is what lets internal/rpc
+// MarshalAppend appends the encoding of a message body (value or
+// pointer form) to dst and returns the extended slice, growing it as
+// needed (like append, the result may share dst's backing array or be
+// a reallocation — always use the returned slice). The message is
+// encoded exactly once, in place. This is what lets internal/rpc
 // reserve a frame header in a pooled buffer and land the body right
 // behind it with no intermediate copy.
 //
-// Ownership: dst remains the caller's. On error the returned slice is
-// dst unchanged — no partial body is ever published into a buffer the
-// caller will send or recycle.
+// Ownership: dst remains the caller's. The only error is a value that
+// is not a message body; the returned slice is then dst unchanged.
 func MarshalAppend(dst []byte, v interface{}) ([]byte, error) {
-	if data, ok := marshalFastAppend(dst, v); ok {
-		return data, nil
+	m, ok := v.(body)
+	if !ok {
+		return dst, fmt.Errorf("wire: marshal %T: not a message body", v)
 	}
-	return marshalGobAppend(dst, v)
+	return m.appendTo(dst), nil
 }
 
-// Unmarshal decodes a message body into v (a pointer).
+// Unmarshal decodes a message body into v (a pointer to a body of the
+// type the data was encoded from). Truncated fields, a tag of another
+// body and trailing bytes are all errors.
 //
 // Ownership: Unmarshal copies every variable-length field out of data
 // — the decoded value never aliases the input. Callers may therefore
 // recycle the frame that carried data (framebuf.Put in the rpc layer)
 // the moment Unmarshal returns.
 func Unmarshal(data []byte, v interface{}) error {
-	if len(data) == 0 {
-		return fmt.Errorf("wire: unmarshal %T: empty body", v)
+	d, ok := v.(decoder)
+	if !ok {
+		return fmt.Errorf("wire: unmarshal %T: not a message body", v)
 	}
-	if data[0] == tagGob {
-		return unmarshalGob(data[1:], v)
+	r := readers.Get().(*reader)
+	*r = reader{data: data}
+	d.decodeFrom(r)
+	if r.pos != len(data) {
+		r.fail("%d trailing bytes", len(data)-r.pos)
 	}
-	return unmarshalFast(data[0], data[1:], v)
+	err := r.err
+	*r = reader{} // don't pin the frame while the reader sits in the pool
+	readers.Put(r)
+	if err != nil {
+		return fmt.Errorf("wire: unmarshal %T: %w", v, err)
+	}
+	return nil
 }
 
 // ErrCode classifies remote failures so callers can react (retry on
@@ -193,8 +201,8 @@ type Snapshot struct {
 	Gen uint64
 }
 
-// SnapshotSize estimates the snapshot's encoded fast-path size in
-// bytes. Pause budgeting (PauseReq.MaxBytes) and the coordinator's
+// SnapshotSize estimates the snapshot's encoded size in bytes.
+// Pause budgeting (PauseReq.MaxBytes) and the coordinator's
 // chunk accounting both use this estimate, so "bytes per chunk" means
 // the same thing on both ends without encoding anything twice.
 func SnapshotSize(s *Snapshot) int {

@@ -6,7 +6,7 @@
 # (bytes/obj, p99-hops), BenchmarkTelemetryRecord (allocs/op),
 # BenchmarkShedPlan (allocs/op), BenchmarkJobPlan (allocs/op) and
 # BenchmarkHealthTick (allocs/op) and fails if any reported value
-# exceeds its ceiling in scripts/alloc-budget.txt. The fast-path codec budgets are exact
+# exceeds its ceiling in scripts/alloc-budget.txt. The wire codec budgets are exact
 # (their allocation counts are deterministic — the append variants
 # allocate only decode output) and the telemetry budgets are zero
 # (recording a counter, gauge, histogram sample or migration span must
