@@ -197,7 +197,7 @@ func newBenchType() *Type[benchState] {
 }
 
 // BenchmarkRuntimeLocalInvoke measures an invocation of a locally
-// hosted object (trap + dispatch + gob round trip, no network).
+// hosted object (trap + dispatch + typed-codec round trip, no network).
 func BenchmarkRuntimeLocalInvoke(b *testing.B) {
 	a, _, ref := benchNodes(b, PolicyPlacement)
 	ctx := context.Background()

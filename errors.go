@@ -67,6 +67,9 @@ func fromRemote(err error) error {
 
 // movedTo extracts the forwarding target from a CodeMoved error.
 func movedTo(err error) (NodeID, bool) {
+	if err == nil {
+		return "", false // skip errors.As, whose target escapes
+	}
 	var re *wire.RemoteError
 	if errors.As(err, &re) && re.Code == wire.CodeMoved {
 		return re.To, true

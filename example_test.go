@@ -9,7 +9,7 @@ import (
 	"objmig"
 )
 
-// Account is an example object state: any gob-encodable struct.
+// Account is an example object state: a struct of plain data.
 type Account struct {
 	Balance int
 }

@@ -11,14 +11,15 @@ import (
 	"objmig"
 )
 
-// GreeterState is the object's state: any gob-encodable struct. The
+// GreeterState is the object's state: a struct of plain data. The
 // exported fields are what travels when the object migrates.
 type GreeterState struct {
 	Greetings int
 }
 
 // newGreeterType declares the object type and its methods. Arguments
-// and results are ordinary Go values (gob-encoded on the wire).
+// and results are ordinary Go values, linearised by a typed binary
+// codec that NewType and HandleFunc compile once per Go type.
 func newGreeterType() *objmig.Type[GreeterState] {
 	t := objmig.NewType[GreeterState]("greeter")
 	objmig.HandleFunc(t, "Greet", func(c *objmig.Ctx, s *GreeterState, name string) (string, error) {

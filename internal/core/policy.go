@@ -67,7 +67,8 @@ type LockState struct {
 // ObjState is the migration-relevant per-object state. It is carried
 // inside the object's host record and is part of the linearised
 // representation transferred on migration, so locks, counters and the
-// fixed flag survive moves. All fields are exported for gob.
+// fixed flag survive moves. The wire codec encodes it field by field
+// (see docs/wire-format.md, "Snapshot layout").
 type ObjState struct {
 	// Fixed marks the object sedentary (fix()-primitive,
 	// Section 2.2). Fixed objects deny every move and migrate.

@@ -101,6 +101,43 @@ func TestClosureGenOrdering(t *testing.T) {
 	}
 }
 
+// TestOriginLearnKeepsHomeAuthoritative: hearsay at the origin must
+// not overwrite its home index. A reply or redirect naming an earlier
+// host can arrive after the departure and the closure's home update it
+// predates; written into the home entry at the closure's generation,
+// it stranded the object in a forwarding cycle that no later report
+// could correct.
+func TestOriginLearnKeepsHomeAuthoritative(t *testing.T) {
+	t.Parallel()
+	s := New("n0")
+	g := core.OID{Origin: "n0", Seq: 1}
+	s.Departed(g, "n1", 7)
+	s.HomeUpdateClosure(g, 7, []core.OID{g}, "n1")
+	s.Learn(g, "n2") // stale: the object left n2 before gen 7
+
+	if at, ok := s.Home(g); !ok || at != "n1" {
+		t.Fatalf("Home = %s, %v, want n1", at, ok)
+	}
+	if at, ok := s.Forward(g); !ok || at != "n1" {
+		t.Fatalf("Forward = %s, %v, want n1", at, ok)
+	}
+	// The hearsay only steers this node's own next try ...
+	if hint := s.Hint(g); hint != "n2" {
+		t.Fatalf("Hint = %s, want the learnt n2", hint)
+	}
+	// ... until n2 redirects back here, which drops it.
+	s.Learn(g, "n0")
+	if hint := s.Hint(g); hint != "n1" {
+		t.Fatalf("Hint after self redirect = %s, want n1", hint)
+	}
+	// An authoritative update also supersedes cached hearsay.
+	s.Learn(g, "n2")
+	s.HomeUpdate([]core.OID{g}, []uint64{8}, "n3")
+	if hint := s.Hint(g); hint != "n3" {
+		t.Fatalf("Hint after home update = %s, want n3", hint)
+	}
+}
+
 // TestClosureShrinksWithoutDraggingStrays: the same anchor migrating
 // again with a smaller member set must not drag the left-behind
 // members along. The second report mints a fresh record; strays keep

@@ -74,27 +74,53 @@ func NewRecord(id core.OID, typeName string, inst interface{}) *Record {
 // busy. It fails with a moved-error when the object leaves while
 // waiting, and respects context cancellation.
 func (r *Record) Acquire(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		r.Mu.Lock()
-		r.cond.Broadcast()
-		r.Mu.Unlock()
+	return r.await(ctx, func() (bool, error) {
+		switch {
+		case r.Status == StatusGone:
+			return true, r.movedErr()
+		case r.Status == StatusActive && !r.busy:
+			r.busy = true
+			return true, nil
+		}
+		return false, nil
 	})
-	defer stop()
+}
+
+// await runs step under r.Mu until it reports done, returning step's
+// error, or ctx's once ctx ends. Between tries it waits for the next
+// status or busy transition. The context wake-up is registered only
+// before the first wait, so an uncontended call allocates nothing.
+func (r *Record) await(ctx context.Context, step func() (bool, error)) error {
 	r.Mu.Lock()
 	defer r.Mu.Unlock()
+	var stop func() bool
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		switch {
-		case r.Status == StatusGone:
-			return &wire.RemoteError{Code: wire.CodeMoved, Msg: "object " + r.ID.String() + " moved", To: r.MovedTo}
-		case r.Status == StatusActive && !r.busy:
-			r.busy = true
-			return nil
+		if done, err := step(); done {
+			return err
+		}
+		if stop == nil {
+			// A ctx that is already done runs wake at once; it blocks
+			// on r.Mu until the Wait below releases it.
+			stop = context.AfterFunc(ctx, r.wake)
+			defer stop()
 		}
 		r.cond.Wait()
 	}
+}
+
+// wake rouses every waiter so each re-checks its context.
+func (r *Record) wake() {
+	r.Mu.Lock()
+	r.cond.Broadcast()
+	r.Mu.Unlock()
+}
+
+// movedErr is the redirect a departed record answers with.
+func (r *Record) movedErr() error {
+	return &wire.RemoteError{Code: wire.CodeMoved, Msg: "object " + r.ID.String() + " moved", To: r.MovedTo}
 }
 
 // Release ends an invocation.
@@ -110,32 +136,21 @@ func (r *Record) Release() {
 // immediately if the object is already paused or gone (pause never
 // waits on pause, so concurrent group migrations cannot deadlock).
 func (r *Record) Pause(ctx context.Context, token uint64) error {
-	stop := context.AfterFunc(ctx, func() {
-		r.Mu.Lock()
-		r.cond.Broadcast()
-		r.Mu.Unlock()
-	})
-	defer stop()
-	r.Mu.Lock()
-	defer r.Mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	return r.await(ctx, func() (bool, error) {
 		switch r.Status {
 		case StatusGone:
-			return &wire.RemoteError{Code: wire.CodeMoved, Msg: "object " + r.ID.String() + " moved", To: r.MovedTo}
+			return true, r.movedErr()
 		case StatusPaused:
-			return wire.Errorf(wire.CodeDenied, "object %s is being migrated", r.ID)
+			return true, wire.Errorf(wire.CodeDenied, "object %s is being migrated", r.ID)
 		case StatusActive:
 			if !r.busy {
 				r.Status = StatusPaused
 				r.Token = token
-				return nil
+				return true, nil
 			}
 		}
-		r.cond.Wait()
-	}
+		return false, nil
+	})
 }
 
 // Unpause rolls a pause back (migration aborted or its lease expired),
@@ -306,29 +321,18 @@ func (r *Record) DelEdgeLocked(other core.OID, al core.AllianceID) bool {
 // taken would be lost with the transfer), fails with a redirect when
 // the object has left, and otherwise runs op under the record lock.
 func (r *Record) EdgeOp(ctx context.Context, op func() *wire.RemoteError) error {
-	stop := context.AfterFunc(ctx, func() {
-		r.Mu.Lock()
-		r.cond.Broadcast()
-		r.Mu.Unlock()
-	})
-	defer stop()
-	r.Mu.Lock()
-	defer r.Mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	return r.await(ctx, func() (bool, error) {
 		switch r.Status {
 		case StatusGone:
-			return &wire.RemoteError{Code: wire.CodeMoved, Msg: "object " + r.ID.String() + " moved", To: r.MovedTo}
+			return true, r.movedErr()
 		case StatusActive:
 			if re := op(); re != nil {
-				return re
+				return true, re
 			}
-			return nil
+			return true, nil
 		}
-		r.cond.Wait()
-	}
+		return false, nil
+	})
 }
 
 // IsGone reports whether the record is a forwarding stub.

@@ -518,6 +518,7 @@ func (s *Store) HomeUpdate(ids []core.OID, gens []uint64, at core.NodeID) {
 			continue
 		}
 		sh.home[id] = homeEntry{at: at, gen: gen}
+		delete(sh.cache, id)
 		sh.locMu.Unlock()
 	}
 }
@@ -567,56 +568,57 @@ func (s *Store) Forward(id core.OID) (core.NodeID, bool) {
 	return "", false
 }
 
-// Learn records fresher location knowledge for an object that is not
-// local. When a forwarding pointer exists it is updated in place — this
-// is the classic forward-addressing chain shortening: once we hear
-// where the object really is, our pointer skips the intermediate hops.
-// A closure member is detached and given its own entry: a Learn is
+// Learn records hearsay about where an object that is not local lives
+// (a reply's At field, a moved-redirect). At the origin the home index
+// stays authoritative: only departures and generation-ordered home
+// updates write it, because hearsay can be stale (an in-flight reply
+// from before the object's last move) and carries no generation to
+// order it by. The origin keeps hearsay in its hint cache instead,
+// which Hint reads first for objects created here, and a later
+// authoritative update drops it; so does hearing that the object is
+// back here. Elsewhere, hearing of this node itself changes nothing.
+//
+// At a former host a forwarding pointer is updated in place — the
+// classic forward-addressing chain shortening: once we hear where the
+// object really is, our pointer skips the intermediate hops. A closure
+// member is detached and given its own forwarding pointer: a Learn is
 // hearsay about ONE object, and mutating the shared record would drag
 // every other member along — wrong whenever a member left the closure
 // individually (a fresher closure-level update recaptures the member).
 func (s *Store) Learn(id core.OID, at core.NodeID) {
-	if at == "" || at == s.self {
+	if at == "" {
 		return
 	}
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()
+	if id.Origin == s.self {
+		if at == s.self {
+			delete(sh.cache, id)
+		} else {
+			s.cacheInsertLocked(sh, id, at)
+		}
+		return
+	}
+	if at == s.self {
+		return
+	}
 	if f, ok := sh.forwards[id]; ok {
 		f.to = at
 		sh.forwards[id] = f
-		if id.Origin == s.self {
-			if h, hok := sh.home[id]; !hok || f.gen >= h.gen {
-				sh.home[id] = homeEntry{at: at, gen: f.gen}
-			}
-		}
 		return
 	}
 	if clos, ok := sh.members[id]; ok {
 		if clos.location() == at {
 			return // nothing new: the shared record already agrees
 		}
+		// An old host's member stands in for a forwarding pointer;
+		// restore one so redirects keep being served (retirement and
+		// the TTL sweep apply as usual).
 		gen := clos.generation()
 		sh.detachMemberLocked(id)
-		if id.Origin == s.self {
-			// The origin's membership came from its own home index;
-			// carry the generation so a fresher closure update can
-			// still recapture the member.
-			sh.home[id] = homeEntry{at: at, gen: gen}
-		} else {
-			// An old host's member stands in for a forwarding pointer;
-			// restore one so redirects keep being served (retirement
-			// and the TTL sweep apply as usual).
-			sh.forwards[id] = fwdEntry{to: at, gen: gen, stamp: time.Now()}
-		}
+		sh.forwards[id] = fwdEntry{to: at, gen: gen, stamp: time.Now()}
 		return
-	}
-	if id.Origin == s.self {
-		if h, ok := sh.home[id]; ok && h.at != s.self {
-			h.at = at
-			sh.home[id] = h
-			return
-		}
 	}
 	s.cacheInsertLocked(sh, id, at)
 }
@@ -641,11 +643,19 @@ func (s *Store) cacheInsertLocked(sh *shard, id core.OID, at core.NodeID) {
 
 // Hint suggests where to try first for an object that is not local:
 // the freshest of forwarding pointer, closure record, home index and
-// cache, falling back to the object's origin node.
+// cache, falling back to the object's origin node. For an object
+// created here the cache holds only hearsay heard since the last
+// authoritative update (see Learn), so it is read first; a stale one
+// costs one refuted hop and is dropped.
 func (s *Store) Hint(id core.OID) core.NodeID {
 	sh := s.shardOf(id)
 	sh.locMu.Lock()
 	defer sh.locMu.Unlock()
+	if id.Origin == s.self {
+		if at, ok := sh.cache[id]; ok {
+			return at
+		}
+	}
 	if f, ok := sh.forwards[id]; ok {
 		return f.to
 	}

@@ -193,7 +193,7 @@ type EdgeRec struct {
 type Snapshot struct {
 	ID    core.OID
 	Type  string
-	State []byte // gob of the user struct
+	State []byte // the user struct in its host's typed codec
 	Pol   core.ObjState
 	Edges []EdgeRec
 	// Gen is the object's departure generation (bumped by the

@@ -101,8 +101,8 @@ type chase struct {
 }
 
 // newChase starts a chase budget for one logical operation on oid.
-func (n *Node) newChase(oid core.OID) *chase {
-	c := &chase{n: n, oid: oid, start: time.Now()}
+func (n *Node) newChase(oid core.OID) chase {
+	c := chase{n: n, oid: oid, start: time.Now()}
 	if d := n.chaseDeadline; d > 0 {
 		c.deadline = c.start.Add(d)
 	}

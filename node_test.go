@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// counterState is the test object: a gob-encodable struct, possibly
+// counterState is the test object: a struct of plain data, possibly
 // holding Refs to other objects.
 type counterState struct {
 	Value int

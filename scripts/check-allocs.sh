@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # check-allocs.sh — perf-regression guard for the wire codec, the
-# location directory and the telemetry hot path.
+# typed codec's invoke and migration paths, the location directory and
+# the telemetry hot path.
 #
-# Runs BenchmarkRuntimeCodec (allocs/op), BenchmarkDirectoryScale
-# (bytes/obj, p99-hops), BenchmarkTelemetryRecord (allocs/op),
-# BenchmarkShedPlan (allocs/op), BenchmarkJobPlan (allocs/op) and
-# BenchmarkHealthTick (allocs/op) and fails if any reported value
-# exceeds its ceiling in scripts/alloc-budget.txt. The wire codec budgets are exact
+# Runs BenchmarkRuntimeCodec (allocs/op), BenchmarkRuntimeLocalInvoke,
+# BenchmarkRuntimeRemoteInvoke and BenchmarkRuntimeMigration
+# (allocs/op), BenchmarkDirectoryScale (bytes/obj, p99-hops),
+# BenchmarkTelemetryRecord (allocs/op), BenchmarkShedPlan (allocs/op),
+# BenchmarkJobPlan (allocs/op) and BenchmarkHealthTick (allocs/op) and
+# fails if any reported value exceeds its ceiling in
+# scripts/alloc-budget.txt. The wire codec budgets are exact
 # (their allocation counts are deterministic — the append variants
 # allocate only decode output) and the telemetry budgets are zero
 # (recording a counter, gauge, histogram sample or migration span must
@@ -28,6 +31,14 @@ status=$?
 echo "$out"
 if [ "$status" -ne 0 ]; then
   echo "alloc check FAILED (benchmark did not run)"
+  exit 1
+fi
+
+typedout=$(go test -run '^$' -bench 'BenchmarkRuntime(LocalInvoke|RemoteInvoke|Migration)$' -benchmem -benchtime 2000x . 2>&1)
+typedstatus=$?
+echo "$typedout"
+if [ "$typedstatus" -ne 0 ]; then
+  echo "alloc check FAILED (typed-codec benchmarks did not run)"
   exit 1
 fi
 
@@ -69,6 +80,7 @@ if [ "$healthstatus" -ne 0 ]; then
   exit 1
 fi
 out="$out
+$typedout
 $dirout
 $telout
 $shedout

@@ -3,21 +3,20 @@
 // Non-Monolithic Distributed Applications" (Ciupke, Kottmann, Walter;
 // ICDCS 1996).
 //
-// Nodes host objects whose state is a gob-encodable Go struct. Remote
-// invocations are trapped, linearised and forwarded to the object's
-// current location. Objects migrate under a configurable policy: the
-// conventional Emerald-style move, the paper's transient placement, or
-// the dynamic comparing strategies. Attachments keep working sets
-// together, and alliances restrict their transitiveness so one
-// component's migrations cannot silently drag another component's
-// objects around.
+// Nodes host objects whose state is a Go struct of plain data. Remote
+// invocations are trapped, linearised by a typed binary codec compiled
+// once per Go type, and forwarded to the object's current location.
+// Objects migrate under a configurable policy: the conventional
+// Emerald-style move, the paper's transient placement, or the dynamic
+// comparing strategies. Attachments keep working sets together, and
+// alliances restrict their transitiveness so one component's
+// migrations cannot silently drag another component's objects around.
 package objmig
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -57,8 +56,8 @@ const (
 )
 
 // Ref is a global reference to a distributed object. Refs are
-// comparable, gob-encodable (they may be stored inside object state)
-// and stable across migrations.
+// comparable, covered by the typed codec (they may be stored inside
+// object state and passed as arguments) and stable across migrations.
 type Ref struct {
 	OID core.OID // the object's cluster-unique identity (origin, seq)
 }
@@ -114,18 +113,28 @@ type objectType interface {
 }
 
 // Type describes a registrable object type whose state is S. S must be
-// a gob-encodable struct (exported fields carry the state).
+// a struct the typed codec covers: its exported fields carry the state
+// and may be booleans, integers, floats, strings, byte slices, and
+// slices, arrays, maps and structs of those. Interface, pointer,
+// channel, function and recursive types are not covered.
 type Type[S any] struct {
 	name    string
+	state   *typeCodec
 	methods map[string]methodFunc
 }
 
 var _ objectType = (*Type[struct{}])(nil)
 
-// NewType declares an object type under the given name. Register it
-// with Node.RegisterType on every node that may host instances.
+// NewType declares an object type under the given name and compiles
+// its state codec. It panics, naming the field path, if the codec does
+// not cover S. Register the type with Node.RegisterType on every node
+// that may host instances.
 func NewType[S any](name string) *Type[S] {
-	return &Type[S]{name: name, methods: make(map[string]methodFunc)}
+	return &Type[S]{
+		name:    name,
+		state:   mustCodec(reflect.TypeFor[S](), "type "+name+": state"),
+		methods: make(map[string]methodFunc),
+	}
 }
 
 // Name returns the registered type name.
@@ -151,63 +160,67 @@ func (t *Type[S]) encodeState(inst interface{}) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("objmig: type %s: instance is %T", t.name, inst)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("objmig: linearise %s: %w", t.name, err)
-	}
-	return buf.Bytes(), nil
+	return t.state.enc(nil, reflect.ValueOf(s).Elem()), nil
 }
 
 func (t *Type[S]) decodeState(data []byte) (interface{}, error) {
 	s := new(S)
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(s); err != nil {
+	if err := t.state.decode(data, reflect.ValueOf(s).Elem()); err != nil {
 		return nil, fmt.Errorf("objmig: reinstall %s: %w", t.name, err)
 	}
 	return s, nil
 }
 
-// HandleFunc registers a method on the type. The argument and result
-// are gob-encoded across the wire; methods execute one at a time per
-// object (objects are monitors).
+// HandleFunc registers a method on the type and compiles its argument
+// and result codecs; it panics, naming the field path, if the typed
+// codec does not cover A or R, and on a duplicate name. Arguments and
+// results are passed by value: a call linearises them even when the
+// object is local. Methods execute one at a time per object (objects
+// are monitors).
 func HandleFunc[S, A, R any](t *Type[S], name string, fn func(c *Ctx, s *S, arg A) (R, error)) {
 	if _, dup := t.methods[name]; dup {
 		panic(fmt.Sprintf("objmig: method %s.%s registered twice", t.name, name))
 	}
+	what := "method " + t.name + "." + name
+	argC := mustCodec(reflect.TypeFor[A](), what+": argument")
+	resC := mustCodec(reflect.TypeFor[R](), what+": result")
 	t.methods[name] = func(c *Ctx, inst interface{}, argBytes []byte) ([]byte, error) {
 		s, ok := inst.(*S)
 		if !ok {
 			return nil, fmt.Errorf("objmig: %s.%s: instance is %T", t.name, name, inst)
 		}
 		var arg A
-		if err := gob.NewDecoder(bytes.NewReader(argBytes)).Decode(&arg); err != nil {
+		if err := argC.decode(argBytes, reflect.ValueOf(&arg).Elem()); err != nil {
 			return nil, fmt.Errorf("objmig: %s.%s: decode argument: %w", t.name, name, err)
 		}
 		res, err := fn(c, s, arg)
 		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&res); err != nil {
-			return nil, fmt.Errorf("objmig: %s.%s: encode result: %w", t.name, name, err)
-		}
-		return buf.Bytes(), nil
+		return resC.enc(nil, reflect.ValueOf(res)), nil
 	}
 }
 
 // Call invokes a method on a (possibly remote) object and decodes its
-// result. It is the typed client-side counterpart of HandleFunc.
+// result. It is the typed client-side counterpart of HandleFunc, and
+// uses the same cached codecs; it returns an error if the typed codec
+// does not cover A or R.
 func Call[A, R any](ctx context.Context, n *Node, ref Ref, method string, arg A) (R, error) {
-	var zero R
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&arg); err != nil {
-		return zero, fmt.Errorf("objmig: encode argument: %w", err)
-	}
-	resBytes, err := n.InvokeRaw(ctx, ref, method, buf.Bytes())
-	if err != nil {
-		return zero, err
-	}
 	var res R
-	if err := gob.NewDecoder(bytes.NewReader(resBytes)).Decode(&res); err != nil {
+	argC, err := codecFor(reflect.TypeFor[A]())
+	if err != nil {
+		return res, fmt.Errorf("objmig: encode argument: %w", err)
+	}
+	resC, err := codecFor(reflect.TypeFor[R]())
+	if err != nil {
+		return res, fmt.Errorf("objmig: decode result: %w", err)
+	}
+	resBytes, err := n.InvokeRaw(ctx, ref, method, argC.enc(nil, reflect.ValueOf(arg)))
+	if err != nil {
+		return res, err
+	}
+	if err := resC.decode(resBytes, reflect.ValueOf(&res).Elem()); err != nil {
+		var zero R
 		return zero, fmt.Errorf("objmig: decode result: %w", err)
 	}
 	return res, nil
