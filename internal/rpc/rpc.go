@@ -1,8 +1,15 @@
 // Package rpc multiplexes request/response exchanges over a
 // transport.Conn: every in-flight call has an ID, responses are matched
-// to pending calls, and inbound requests are dispatched to a handler in
-// their own goroutine (invocations may block on object locks and
+// to pending calls, and inbound requests are dispatched to a handler on
+// per-peer serve workers (invocations may block on object locks and
 // migrations, so the read loop must never be held up).
+//
+// The read loop hands each request to an idle worker if one is waiting
+// and otherwise starts a new one, so it never blocks and a stuck
+// handler never delays another request. A worker that has served
+// waits for the next request instead of exiting, unless maxIdleWorkers
+// others already wait: reusing its grown stack spares each request a
+// fresh goroutine and the stack copy the serve path would force on it.
 //
 // Frame layout:
 //
@@ -29,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"objmig/internal/framebuf"
 	"objmig/internal/transport"
@@ -45,6 +53,11 @@ const (
 	// body within its frame.
 	hdrLen    = 9
 	reqHdrLen = hdrLen + 1
+
+	// maxIdleWorkers caps the serve workers a peer keeps waiting for
+	// requests; a worker that finds this many idle exits instead, so a
+	// burst of blocked invocations leaves no crowd of parked goroutines.
+	maxIdleWorkers = 4
 )
 
 // ErrPeerClosed is returned by calls whose peer shut down before a
@@ -88,8 +101,17 @@ type Peer struct {
 	nextID  uint64
 	closed  bool
 
-	wg sync.WaitGroup
+	reqs     chan []byte    // unbuffered: a send lands only on an idle worker
+	idle     atomic.Int32   // workers waiting on reqs, or about to
+	wg       sync.WaitGroup // serve workers; the read loop waits them out
+	loopDone chan struct{}  // closed once the read loop and its workers ended
+	onDead   func(*Peer)    // called by the read loop just before loopDone
 }
+
+// replyChans recycles Call's reply channels. A channel goes back only
+// after its call received from it: the read loop or failAll deleted the
+// pending entry before its one send, so nobody else holds it then.
+var replyChans = sync.Pool{New: func() any { return make(chan callResult, 1) }}
 
 // callResult carries one response frame (or a local failure) from the
 // read loop to the blocked caller, which decodes it and recycles the
@@ -121,15 +143,23 @@ func (r callResult) finish(resp interface{}) error {
 // (inbound requests are then rejected). The peer owns the connection
 // and closes it on Close.
 func NewPeer(conn transport.Conn, handler Handler) *Peer {
+	return newPeer(conn, handler, nil)
+}
+
+// newPeer is NewPeer with a hook the read loop calls once the peer is
+// dead and its workers have finished.
+func newPeer(conn transport.Conn, handler Handler, onDead func(*Peer)) *Peer {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Peer{
-		conn:    conn,
-		handler: handler,
-		ctx:     ctx,
-		cancel:  cancel,
-		pending: make(map[uint64]chan callResult),
+		conn:     conn,
+		handler:  handler,
+		ctx:      ctx,
+		cancel:   cancel,
+		pending:  make(map[uint64]chan callResult),
+		reqs:     make(chan []byte),
+		loopDone: make(chan struct{}),
+		onDead:   onDead,
 	}
-	p.wg.Add(1)
 	go p.readLoop()
 	return p
 }
@@ -140,10 +170,11 @@ func NewPeer(conn transport.Conn, handler Handler) *Peer {
 // exactly once, directly behind the reserved frame header; the frame
 // returns to the pool as soon as the transport has taken it.
 func (p *Peer) Call(ctx context.Context, kind wire.Kind, req, resp interface{}) error {
-	ch := make(chan callResult, 1)
+	ch := replyChans.Get().(chan callResult)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
+		replyChans.Put(ch)
 		return ErrPeerClosed
 	}
 	p.nextID++
@@ -170,8 +201,11 @@ func (p *Peer) Call(ctx context.Context, kind wire.Kind, req, resp interface{}) 
 		return fmt.Errorf("%w: %v", ErrSendFailed, err)
 	}
 
+	// Only the receiving path recycles ch: after a failed encode or
+	// send, or a cancelled wait, a late send may still land in it.
 	select {
 	case r := <-ch:
+		replyChans.Put(ch)
 		return r.finish(resp)
 	case <-ctx.Done():
 		p.forget(id)
@@ -186,23 +220,31 @@ func (p *Peer) forget(id uint64) {
 	p.mu.Unlock()
 }
 
-// readLoop receives frames until the connection dies, dispatching
-// requests and completing pending calls. Every received frame is
-// recycled exactly once: by the serve goroutine after its handler
-// returns, by the blocked caller after it decodes the response, or
-// right here when nobody wants it.
+// readLoop receives frames until the connection dies, then fails every
+// pending call, closes the connection and waits out the workers.
 func (p *Peer) readLoop() {
-	defer p.wg.Done()
+	p.failAll(p.recvLoop())
+	_ = p.conn.Close() // dead for reading; Close is idempotent
+	p.wg.Wait()
+	if p.onDead != nil {
+		p.onDead(p)
+	}
+	close(p.loopDone)
+}
+
+// recvLoop dispatches requests and completes pending calls until a
+// receive fails. Every received frame is recycled exactly once: by the
+// worker after its handler returns, by the blocked caller after it
+// decodes the response, or right here when nobody wants it.
+func (p *Peer) recvLoop() error {
 	for {
 		frame, err := p.conn.Recv()
 		if err != nil {
-			p.failAll(err)
-			return
+			return err
 		}
 		if len(frame) < hdrLen {
 			framebuf.Put(frame)
-			p.failAll(fmt.Errorf("rpc: short frame (%d bytes)", len(frame)))
-			return
+			return fmt.Errorf("rpc: short frame (%d bytes)", len(frame))
 		}
 		dir := frame[0]
 		id := binary.BigEndian.Uint64(frame[1:hdrLen])
@@ -213,14 +255,12 @@ func (p *Peer) readLoop() {
 				framebuf.Put(frame)
 				continue
 			}
-			kind := wire.Kind(payload[0])
-			body := payload[1:]
-			p.wg.Add(1)
-			go func(frame []byte) {
-				defer p.wg.Done()
-				p.serve(id, kind, body)
-				framebuf.Put(frame) // body (an alias) is dead once serve returns
-			}(frame)
+			select {
+			case p.reqs <- frame:
+			default:
+				p.wg.Add(1)
+				go p.worker(frame)
+			}
 		case dirOK, dirErr:
 			p.mu.Lock()
 			ch, ok := p.pending[id]
@@ -237,9 +277,33 @@ func (p *Peer) readLoop() {
 	}
 }
 
-// serve runs the handler for one request, encoding the response
+// worker serves req, then each request the read loop hands it, until
+// the peer shuts down or maxIdleWorkers other workers are already idle.
+func (p *Peer) worker(req []byte) {
+	defer p.wg.Done()
+	for {
+		p.serve(req)
+		framebuf.Put(req) // the handler's body aliased it; dead now
+		if p.idle.Add(1) > maxIdleWorkers {
+			p.idle.Add(-1)
+			return
+		}
+		select {
+		case req = <-p.reqs:
+			p.idle.Add(-1)
+		case <-p.ctx.Done():
+			p.idle.Add(-1)
+			return
+		}
+	}
+}
+
+// serve runs the handler for one request frame, encoding the response
 // straight into a pooled frame behind its reserved header.
-func (p *Peer) serve(id uint64, kind wire.Kind, body []byte) {
+func (p *Peer) serve(req []byte) {
+	id := binary.BigEndian.Uint64(req[1:hdrLen])
+	kind := wire.Kind(req[hdrLen])
+	body := req[reqHdrLen:]
 	frame := framebuf.Get(hdrLen + 64)
 	frame = frame[:hdrLen]
 	var err error
@@ -302,12 +366,11 @@ func (p *Peer) Closed() bool {
 }
 
 // Close tears the peer down and waits for its goroutines (read loop and
-// in-flight handlers) to finish.
+// workers, in-flight handlers included) to finish.
 func (p *Peer) Close() error {
 	p.cancel()
 	err := p.conn.Close()
-	p.wg.Wait()
-	p.failAll(ErrPeerClosed)
+	<-p.loopDone
 	return err
 }
 
@@ -341,16 +404,24 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		p := NewPeer(conn, s.handler)
 		s.mu.Lock()
 		if s.done {
 			s.mu.Unlock()
-			_ = p.Close()
+			_ = conn.Close()
 			return
 		}
-		s.peers[p] = struct{}{}
+		// Registered under s.mu, so a peer that dies at once is dropped
+		// only after it was added.
+		s.peers[newPeer(conn, s.handler, s.drop)] = struct{}{}
 		s.mu.Unlock()
 	}
+}
+
+// drop forgets a peer whose connection died; its read loop calls it.
+func (s *Server) drop(p *Peer) {
+	s.mu.Lock()
+	delete(s.peers, p)
+	s.mu.Unlock()
 }
 
 // Close stops accepting and closes every live peer.

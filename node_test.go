@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -150,6 +151,42 @@ func TestRemoteInvoke(t *testing.T) {
 	v, err = Call[struct{}, int](ctx, nodes[1], ref, "Get", struct{}{})
 	if err != nil || v != 3 {
 		t.Fatalf("remote Get = %d, %v", v, err)
+	}
+}
+
+// TestCloseLeavesNoGoroutines: after remote invokes and a migration,
+// closing every node stops every goroutine the nodes started, the rpc
+// layer's read loops and serve workers included. It does not run in
+// parallel: it counts goroutines process-wide.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ctx := ctxShort(t)
+	nodes := testCluster(t, 3, Config{})
+	ref := mustCreate(t, nodes[0])
+	for i := 0; i < 20; i++ {
+		if _, err := Call[int, int](ctx, nodes[1+i%2], ref, "Add", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nodes[1].Migrate(ctx, ref, "n2"); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	if v, err := Call[struct{}, int](ctx, nodes[0], ref, "Get", struct{}{}); err != nil || v != 20 {
+		t.Fatalf("Get after migrate = %d, %v", v, err)
+	}
+	for _, n := range nodes {
+		if err := n.Close(); err != nil {
+			t.Fatalf("close %s: %v", n.ID(), err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines left after Close, %d before the cluster\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

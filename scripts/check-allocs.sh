@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # check-allocs.sh — perf-regression guard for the wire codec, the
-# typed codec's invoke and migration paths, the location directory and
-# the telemetry hot path.
+# typed codec's invoke and migration paths, the rpc round trip, the
+# location directory and the telemetry hot path.
 #
 # Runs BenchmarkRuntimeCodec (allocs/op), BenchmarkRuntimeLocalInvoke,
 # BenchmarkRuntimeRemoteInvoke and BenchmarkRuntimeMigration
-# (allocs/op), BenchmarkDirectoryScale (bytes/obj, p99-hops),
+# (allocs/op), BenchmarkPeerCall (allocs/op), BenchmarkDirectoryScale (bytes/obj, p99-hops),
 # BenchmarkTelemetryRecord (allocs/op), BenchmarkShedPlan (allocs/op),
 # BenchmarkJobPlan (allocs/op) and BenchmarkHealthTick (allocs/op) and
 # fails if any reported value exceeds its ceiling in
@@ -39,6 +39,14 @@ typedstatus=$?
 echo "$typedout"
 if [ "$typedstatus" -ne 0 ]; then
   echo "alloc check FAILED (typed-codec benchmarks did not run)"
+  exit 1
+fi
+
+rpcout=$(go test -run '^$' -bench 'BenchmarkPeerCall$' -benchmem -benchtime 2000x ./internal/rpc 2>&1)
+rpcstatus=$?
+echo "$rpcout"
+if [ "$rpcstatus" -ne 0 ]; then
+  echo "alloc check FAILED (rpc round-trip benchmark did not run)"
   exit 1
 fi
 
@@ -81,6 +89,7 @@ if [ "$healthstatus" -ne 0 ]; then
 fi
 out="$out
 $typedout
+$rpcout
 $dirout
 $telout
 $shedout
